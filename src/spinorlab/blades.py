@@ -299,12 +299,6 @@ class Multivector:
             out[mask] = -coeff if (k * (k - 1) // 2) & 1 else coeff
         return Multivector(self.signature, out)
 
-    def grade_involution(self) -> "Multivector":
-        out = {}
-        for mask, coeff in self._terms.items():
-            out[mask] = -coeff if blade_grade(mask) & 1 else coeff
-        return Multivector(self.signature, out)
-
     def grade_projection(self, k: int) -> "Multivector":
         """Grade-k part; k must lie in 0..p+q."""
         if not 0 <= k <= self.signature.dim:

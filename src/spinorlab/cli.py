@@ -29,7 +29,7 @@ from .geometry import (
     normalize,
 )
 from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form
-from .spin import SpinElement, check_relations, is_lipschitz, is_spin, is_spin_plus, random_spin_element
+from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -38,13 +38,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         report = args.handler(args)
+        rendered = _render(report, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    rendered = _render(report, args)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:
@@ -207,10 +207,7 @@ def cmd_generator(args: argparse.Namespace) -> dict:
 
 def cmd_spin_check(args: argparse.Namespace) -> dict:
     sig = Signature(args.p, args.q, args.ordering)
-    value = Multivector.from_text(sig, args.s)
-    if not value.is_even():
-        raise ValueError("spin candidates must be even elements")
-    element = SpinElement(value)
+    element = SpinElement(Multivector.from_text(sig, args.s))
     relation_report = check_relations(element)
     report: dict = {
         "norm": relation_report.norm,
@@ -221,23 +218,18 @@ def cmd_spin_check(args: argparse.Namespace) -> dict:
         "spin": relation_report.spin,
         "spin_plus": relation_report.spin_plus,
     }
-    try:
-        lipschitz = is_lipschitz(value)
-    except ValueError:
-        lipschitz = False
+    lipschitz = element.lipschitz()
+    spin = is_spin(element)
     report.update(
         {
             "p": args.p,
             "q": args.q,
             "ordering": args.ordering,
-            "element": value.to_text(),
+            "element": element.value.to_text(),
             "lipschitz": lipschitz,
-            "is_spin": is_spin(element),
+            "is_spin": spin,
             "is_spin_plus": is_spin_plus(element),
-            "verdicts": {
-                "predicates_consistent": is_spin(element)
-                == (lipschitz and report["spin"])
-            },
+            "verdicts": {"predicates_consistent": spin == (lipschitz and report["spin"])},
         }
     )
     return report
@@ -353,7 +345,10 @@ def _render(report: dict, args: argparse.Namespace) -> str:
 def _convert(value, mode: str, tol: float):
     if isinstance(value, Fraction):
         if mode == "float":
-            approx = float(value)
+            try:
+                approx = float(value)
+            except OverflowError:
+                raise ValueError("a value exceeds the float range; use --mode exact") from None
             return 0.0 if abs(approx) < tol else approx
         return str(value)
     if isinstance(value, dict):

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .blades import Rational
+from .blades import Rational, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 from .matrices import (
     build_xi,
@@ -33,7 +33,7 @@ from .matrices import (
     rep_even_element,
     rep_multivector,
 )
-from .spin import SpinElement, is_spin_plus, pfaffian, relation_residuals
+from .spin import SpinElement, _skew_table, is_spin_plus, pfaffian, relation_residuals
 
 Coords = Sequence[Rational]
 
@@ -98,10 +98,10 @@ class SpinorCoords:
             raise ValueError("completion needs a nonzero scalar coordinate")
         if len(vector) != n:
             raise ValueError(f"expected {n} single-index coordinates")
-        table = _renamed_skew(n, a, vector, skew)
+        table = _renamed_skew(n, vector, skew)
         values = []
         for mask in range(1 << n):
-            indices = _mask_indices(mask)
+            indices = blade_indices(mask)
             renamed = indices if len(indices) % 2 == 0 else indices + (n + 1,)
             size = len(renamed)
             if size == 0:
@@ -132,10 +132,10 @@ class SpinorCoords:
             (i, j): self.values[(1 << (i - 1)) | (1 << (j - 1))]
             for i, j in combinations(range(1, n + 1), 2)
         }
-        table = _renamed_skew(n, scalar, vector, skew)
+        table = _renamed_skew(n, vector, skew)
         coords: dict[tuple[int, ...], Fraction] = {}
         for mask in range(1 << n):
-            indices = _mask_indices(mask)
+            indices = blade_indices(mask)
             renamed = indices if len(indices) % 2 == 0 else indices + (n + 1,)
             coords[renamed] = self.values[mask]
         return relation_residuals(scalar, table, coords, n + 1)
@@ -144,7 +144,7 @@ class SpinorCoords:
         return all(value == 0 for _, value in self.relation_residuals())
 
     def coordinate_name(self, mask: int) -> str:
-        return "a" + "".join(str(i) for i in _mask_indices(mask))
+        return "a" + "".join(str(i) for i in blade_indices(mask))
 
     def to_named(self) -> dict[str, Fraction]:
         """Coordinates keyed by name, as exact rationals."""
@@ -157,7 +157,7 @@ class SpinorCoords:
     def from_json(cls, n: int, payload: Mapping[str, object]) -> "SpinorCoords":
         values = []
         for mask in range(1 << n):
-            name = "a" + "".join(str(i) for i in _mask_indices(mask))
+            name = "a" + "".join(str(i) for i in blade_indices(mask))
             raw = payload.get(name, 0)
             values.append(Fraction(str(raw)))
         return cls(n, values)
@@ -171,40 +171,17 @@ class SpinorCoords:
         return f"SpinorCoords(n={self.n}, {[str(v) for v in self.values]})"
 
 
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
 def _renamed_skew(
     n: int,
-    scalar: Fraction,
     vector: Sequence[Rational],
     skew: Union[Mapping[tuple[int, int], Rational], Sequence[Sequence[Rational]]],
 ) -> list[list[Fraction]]:
     """(n+1)x(n+1) skew table: pairs {i,j} from a^{ij}, pairs {i,n+1} from a^i."""
-    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    if isinstance(skew, Mapping):
-        entries = dict(skew)
-    else:
-        rows = [list(map(Fraction, row)) for row in skew]
-        entries = {(i + 1, j + 1): rows[i][j] for i in range(n) for j in range(i + 1, n)}
-    for (i, j), value in entries.items():
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise ValueError(f"bad pair index ({i},{j})")
-        v = Fraction(value)
-        table[i - 1][j - 1] = v
-        table[j - 1][i - 1] = -v
-    for i, value in enumerate(vector, start=1):
-        v = Fraction(value)
-        table[i - 1][n] = v
-        table[n][i - 1] = -v
+    table = _skew_table(skew, n)
+    column = [Fraction(v) for v in vector]
+    for row, v in zip(table, column):
+        row.append(v)
+    table.append([-v for v in column] + [Fraction(0)])
     return table
 
 
@@ -348,16 +325,10 @@ def reduction_identities(a: SpinorCoords, b: Sequence[Rational]) -> ReductionRep
     bv = [Fraction(v) for v in b]
 
     def av(indices: Iterable[int]) -> Fraction:
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
-        return a.values[mask]
+        return a.values[mask_from_indices(indices)]
 
     def bvx(indices: Iterable[int]) -> Fraction:
-        mask = 0
-        for i in indices:
-            mask |= 1 << (i - 1)
-        return bv[mask]
+        return bv[mask_from_indices(indices)]
 
     pair = []
     for i, j in combinations(range(1, n + 1), 2):
@@ -533,7 +504,8 @@ def motion_on_points(s: SpinElement, x: Coords) -> list[Fraction]:
     if not is_spin_plus(s):
         raise ValueError("motions need a spin element of norm +1")
     rep = rep_even_element(s, n)
-    rep_inv = rep_multivector(s.value.inverse(), n)
+    # a verified element of norm +1 has s^-1 = reverse(s)
+    rep_inv = rep_multivector(s.value.reverse(), n)
     conjugated = linalg.mat_mul(linalg.mat_mul(rep, build_xi(coords).rows()), rep_inv)
     y = _extract_point_coords(n, conjugated)
     if not linalg.mat_eq(build_xi(y).rows(), conjugated):

@@ -152,14 +152,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return result
 
 
-def column_space_contains(basis_rows: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]) -> bool:
-    """True when `vector` lies in the row span of `basis_rows`."""
-    if all(not x for x in vector):
-        return True
-    base_rank = rank(basis_rows)
-    return rank(list(basis_rows) + [list(vector)]) == base_rank
-
-
 def same_row_space(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
     ra, rb = rank(a), rank(b)
     if ra != rb:

@@ -42,9 +42,13 @@ MAX_RANK = 8
 
 def neutral_signature(n: int) -> Signature:
     """The interleaved algebra hosting rank-n point matrices."""
+    _check_rank(n)
+    return Signature(n, n, INTERLEAVED)
+
+
+def _check_rank(n: int) -> None:
     if not 1 <= n <= MAX_RANK:
         raise ValueError(f"neutral rank must lie in 1..{MAX_RANK}, got {n}")
-    return Signature(n, n, INTERLEAVED)
 
 
 class SignedPerm:
@@ -218,6 +222,7 @@ class XiMatrix:
 
 
 def _check_coords(n: int, x: Sequence[Rational]) -> list[Fraction]:
+    _check_rank(n)
     if len(x) != 2 * n + 1:
         raise ValueError(f"rank {n} needs 2n+1 = {2 * n + 1} coordinates, got {len(x)}")
     return [Fraction(v) for v in x]
@@ -226,8 +231,7 @@ def _check_coords(n: int, x: Sequence[Rational]) -> list[Fraction]:
 @lru_cache(maxsize=None)
 def build_xi_symbolic(n: int) -> XiMatrix:
     """Symbolic point matrix by the 2x2 block recursion."""
-    if not 1 <= n <= MAX_RANK:
-        raise ValueError(f"neutral rank must lie in 1..{MAX_RANK}, got {n}")
+    _check_rank(n)
     rows: list[list[Poly]] = [[Poly.var("x0")]]
     for level in range(1, n + 1):
         h = len(rows)

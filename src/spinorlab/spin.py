@@ -16,6 +16,12 @@ with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
 ones (:func:`reconstruct_from_low_grade`); the a = 0 case is handled on the
 geometry side by a rank-based solve.
+
+Each element is verified once.  A :class:`SpinElement` is immutable; it
+computes s * reverse(s) and the Lipschitz verdict at most once each and
+keeps them, so :func:`is_spin`, :func:`is_spin_plus`, :func:`spin_norm` and
+the actions on vectors, points and spinors all read the kept values.  A
+verified element has s^-1 = reverse(s) / N(s), so no action inverts it.
 """
 
 from __future__ import annotations
@@ -26,19 +32,45 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
-from .blades import Multivector, Rational, Signature, blade_indices, mask_from_indices
+from .blades import Multivector, Rational, Signature, blade_grade, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 
 
 class SpinElement:
-    """Even multivector together with coordinate access a^{i1..i2k}."""
+    """Even multivector together with coordinate access a^{i1..i2k}.
 
-    __slots__ = ("value",)
+    Immutable: ``value`` cannot be reassigned, so the kept product
+    s * reverse(s) and the kept Lipschitz verdict never go stale.  Threads
+    racing on first use only repeat the same computation.
+    """
+
+    __slots__ = ("_value", "_product", "_lipschitz")
 
     def __init__(self, value: Multivector):
         if not value.is_even():
             raise ValueError("spin elements must be even")
-        self.value = value
+        self._value = value
+        self._product: Multivector | None = None
+        self._lipschitz: bool | None = None
+
+    @property
+    def value(self) -> Multivector:
+        return self._value
+
+    def reverse_product(self) -> Multivector:
+        """s * reverse(s), computed on first use and kept."""
+        if self._product is None:
+            self._product = self._value * self._value.reverse()
+        return self._product
+
+    def lipschitz(self) -> bool:
+        """Verdict of :func:`is_lipschitz`, False when s is singular; kept."""
+        if self._lipschitz is None:
+            try:
+                self._lipschitz = is_lipschitz(self._value)
+            except ValueError:
+                self._lipschitz = False
+        return self._lipschitz
 
     @property
     def signature(self) -> Signature:
@@ -55,16 +87,8 @@ class SpinElement:
 
     def skew_table(self) -> list[list[Fraction]]:
         """Grade-2 coordinates as a full skew matrix, 0-indexed."""
-        n = self.signature.dim
-        table = [[Fraction(0)] * n for _ in range(n)]
-        for i, j in combinations(range(1, n + 1), 2):
-            c = self.value.coefficient(mask_from_indices((i, j)))
-            table[i - 1][j - 1] = c
-            table[j - 1][i - 1] = -c
-        return table
-
-    def inverse_value(self) -> Multivector:
-        return self.value.inverse()
+        pairs = {blade_indices(mask): c for mask, c in self.value.items() if blade_grade(mask) == 2}
+        return _skew_table(pairs, self.signature.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinElement):
@@ -112,8 +136,7 @@ def spin_norm(s: SpinElement) -> Fraction:
             rest >>= 1
             i += 1
         total += coeff * coeff * sign
-    via_reverse = (value * value.reverse()).scalar_part()
-    if via_reverse != total:
+    if s.reverse_product().scalar_part() != total:
         raise InvariantViolation("spin norm routes disagree; sign convention broken")
     return total
 
@@ -134,21 +157,24 @@ def is_lipschitz(s: Multivector) -> bool:
 
 def is_spin(s: Union[SpinElement, Multivector]) -> bool:
     """Even, Lipschitz, and of spin norm +1 or -1; False on any failure."""
-    value = s.value if isinstance(s, SpinElement) else s
-    if not value.is_even():
-        return False
-    norm = (value * value.reverse()).scalar_part()
-    if norm not in (1, -1):
-        return False
-    try:
-        return is_lipschitz(value)
-    except ValueError:
-        return False
+    return _verified_norm(s) is not None
 
 
 def is_spin_plus(s: Union[SpinElement, Multivector]) -> bool:
-    value = s.value if isinstance(s, SpinElement) else s
-    return (value * value.reverse()).scalar_part() == 1 and is_spin(value)
+    """Spin, and of spin norm +1."""
+    return _verified_norm(s) == 1
+
+
+def _verified_norm(s: Union[SpinElement, Multivector]) -> Fraction | None:
+    """The spin norm N(s) of a spin element, None for anything else."""
+    if not isinstance(s, SpinElement):
+        if not s.is_even():
+            return None
+        s = SpinElement(s)
+    norm = s.reverse_product().scalar_part()
+    if norm not in (1, -1) or not s.lipschitz():
+        return None
+    return norm
 
 
 @dataclass(frozen=True)
@@ -339,9 +365,10 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
         raise ValueError("signature mismatch")
     if not x.is_grade(1):
         raise ValueError("rotation input must be a pure vector")
-    if not is_spin(s):
+    norm = _verified_norm(s)
+    if norm is None:
         raise ValueError("rotations need a spin element")
-    result = s.value * x * s.value.inverse()
+    result = s.value * x * (s.value.reverse() / norm)
     if not result.is_grade(1):
         raise InvariantViolation("conjugation left the vector space")
     if (result * result).scalar_part() != (x * x).scalar_part():

@@ -1,10 +1,18 @@
 """CLI reports: determinism, golden files, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import spinorlab.cli
+import spinorlab.spin
+from spinorlab import Multivector
 
 GOLDEN_DIR = Path(os.environ.get("SPINORLAB_GOLDEN_DIR", Path(__file__).parent / "golden"))
 
@@ -172,3 +180,46 @@ def test_bad_input_exit_codes():
     run_cli("xi", "--n", "0", expect=1)
     run_cli("kernel", "--n", "2", "--x", "1,2", expect=1)
     run_cli("generator", "--n", "2", "--a", "0,0,0,0", expect=1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("xi", "--n", "1", "--x", "1e400,0,0", "--mode", "float"),
+        ("kernel", "--n", "9", "--x", ",".join(["0", "1", "1"] + ["0"] * 16)),
+    ],
+    ids=["float_overflow", "rank_above_max"],
+)
+def test_bad_input_is_an_error_line_not_a_traceback(args):
+    result = run_cli(*args, expect=1)
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"],
+        ["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"],
+    ],
+    ids=["spin_check", "motion_seeded"],
+)
+def test_each_element_is_verified_once(monkeypatch, argv):
+    counts = {"lipschitz": 0, "inverse": 0}
+    is_lipschitz = spinorlab.spin.is_lipschitz
+    inverse = Multivector.inverse
+
+    def counted_lipschitz(s):
+        counts["lipschitz"] += 1
+        return is_lipschitz(s)
+
+    def counted_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(spinorlab.spin, "is_lipschitz", counted_lipschitz)
+    monkeypatch.setattr(Multivector, "inverse", counted_inverse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert spinorlab.cli.main(argv) == 0
+    assert counts == {"lipschitz": 1, "inverse": 1}

@@ -10,11 +10,13 @@ from spinorlab import (
     Multivector,
     Signature,
     SpinorCoords,
+    XiMatrix,
     build_xi,
     build_xi_symbolic,
     generator_to_spinor,
     independent_system,
     kernel_spinors,
+    point_element,
     quaternion_split,
     reconstruct_from_low_grade,
     unit_pair_for,
@@ -47,6 +49,16 @@ def test_xi_rank_bounds():
         build_xi_symbolic(9)
     with pytest.raises(ValueError):
         build_xi([1, 0])  # even coordinate count
+    # rank 9 exceeds MAX_RANK at every entry point taking coordinates
+    x = [0, 1, 1] + [0] * 16  # an absolute point of S(9,9)
+    with pytest.raises(ValueError):
+        build_xi(x)
+    with pytest.raises(ValueError):
+        kernel_spinors(x)
+    with pytest.raises(ValueError):
+        point_element(9, x)
+    with pytest.raises(ValueError):
+        XiMatrix(9, (), symbolic=True).evaluate(x)
 
 
 def test_roundtrip_rank_four():
@@ -83,6 +95,8 @@ def test_reconstruct_accepts_full_skew_matrix():
     lopsided[0][1] = Fraction(1)  # not skew
     with pytest.raises(ValueError):
         reconstruct_from_low_grade(1, lopsided, sig)
+    with pytest.raises(ValueError):
+        SpinorCoords.from_low_grade(4, 1, [0] * 4, lopsided)
 
 
 def test_spinor_from_json_missing_keys_default_to_zero():

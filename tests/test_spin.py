@@ -1,6 +1,8 @@
 """Spin membership, norms, Pfaffian relations, reconstruction, rotations."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
 
@@ -250,6 +252,31 @@ def test_apply_rotation_preserves_form():
         x = Multivector.vector(sig, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)])
         y = apply_rotation(s, x)
         assert (y * y).scalar_part() == (x * x).scalar_part()
+
+
+def test_spin_element_value_cannot_be_reassigned():
+    s = SpinElement(Multivector.scalar(CL20, 1))
+    assert is_spin(s)
+    with pytest.raises(AttributeError):
+        s.value = Multivector.scalar(CL20, 2)
+    assert s.value == Multivector.scalar(CL20, 1) and is_spin(s)
+
+
+def test_shared_element_verdicts_agree_across_threads():
+    sig = Signature(3, 2)
+    elements = [random_spin_element(sig, seed, 2) for seed in range(4)]
+    fresh = [SpinElement(e.value) for e in elements]  # nothing kept yet
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(apply_rotation, s, Multivector.generator(sig, 1)) for s in fresh * 8]
+            rotated = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [apply_rotation(e, Multivector.generator(sig, 1)) for e in elements] * 8
+    assert rotated == expected
+    assert all(is_spin(s) and s.lipschitz() for s in fresh)
 
 
 def test_apply_rotation_rejects_bad_input():
