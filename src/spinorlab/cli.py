@@ -28,7 +28,7 @@ from .geometry import (
     motion_on_spinors,
     normalize,
 )
-from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form
+from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form, rep_even_element
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
@@ -258,8 +258,6 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         report["y"] = y
         verdicts["form_preserved"] = quadratic_form(y) == quadratic_form(x)
         if quadratic_form(x) == 0 and any(x):
-            from .matrices import rep_even_element
-
             kernel_x = kernel_spinors(x)
             kernel_y = kernel_spinors(y)
             rep = rep_even_element(element, args.n)

@@ -33,7 +33,7 @@ from .matrices import (
     rep_even_element,
     rep_multivector,
 )
-from .spin import SpinElement, _skew_table, is_spin_plus, pfaffian, relation_residuals
+from .spin import SpinElement, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
 Coords = Sequence[Rational]
 
@@ -93,25 +93,10 @@ class SpinorCoords:
         The completion is the Pfaffian one, applied after the renaming, so
         the scalar must be nonzero.
         """
-        a = Fraction(scalar)
-        if a == 0:
-            raise ValueError("completion needs a nonzero scalar coordinate")
         if len(vector) != n:
             raise ValueError(f"expected {n} single-index coordinates")
-        table = _renamed_skew(n, vector, skew)
-        values = []
-        for mask in range(1 << n):
-            indices = blade_indices(mask)
-            renamed = indices if len(indices) % 2 == 0 else indices + (n + 1,)
-            size = len(renamed)
-            if size == 0:
-                values.append(a)
-            elif size == 2:
-                values.append(table[renamed[0] - 1][renamed[1] - 1])
-            else:
-                k = size // 2
-                values.append(pfaffian(table, [i - 1 for i in renamed]) / a ** (k - 1))
-        return cls(n, values)
+        completed = completed_coords(scalar, _renamed_skew(n, vector, skew))
+        return cls(n, [completed[_renamed(mask, n)] for mask in range(1 << n)])
 
     def coefficient(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -126,24 +111,16 @@ class SpinorCoords:
         """Residuals of the renamed coordinate relations; all zero on
         generator representatives."""
         n = self.n
-        scalar = self.values[0]
-        vector = [self.values[1 << i] for i in range(n)]
-        skew = {
-            (i, j): self.values[(1 << (i - 1)) | (1 << (j - 1))]
-            for i, j in combinations(range(1, n + 1), 2)
-        }
-        table = _renamed_skew(n, vector, skew)
-        coords: dict[tuple[int, ...], Fraction] = {}
-        for mask in range(1 << n):
-            indices = blade_indices(mask)
-            renamed = indices if len(indices) % 2 == 0 else indices + (n + 1,)
-            coords[renamed] = self.values[mask]
-        return relation_residuals(scalar, table, coords, n + 1)
+        renamed = [Fraction(0)] * (2 << n)
+        for mask, value in enumerate(self.values):
+            renamed[_renamed(mask, n)] = value
+        return relation_residuals(renamed.__getitem__, n + 1)
 
     def satisfies_relations(self) -> bool:
         return all(value == 0 for _, value in self.relation_residuals())
 
-    def coordinate_name(self, mask: int) -> str:
+    @staticmethod
+    def coordinate_name(mask: int) -> str:
         return "a" + "".join(str(i) for i in blade_indices(mask))
 
     def to_named(self) -> dict[str, Fraction]:
@@ -155,12 +132,8 @@ class SpinorCoords:
 
     @classmethod
     def from_json(cls, n: int, payload: Mapping[str, object]) -> "SpinorCoords":
-        values = []
-        for mask in range(1 << n):
-            name = "a" + "".join(str(i) for i in blade_indices(mask))
-            raw = payload.get(name, 0)
-            values.append(Fraction(str(raw)))
-        return cls(n, values)
+        names = map(cls.coordinate_name, range(1 << n))
+        return cls(n, [Fraction(str(payload.get(name, 0))) for name in names])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorCoords):
@@ -169,6 +142,11 @@ class SpinorCoords:
 
     def __repr__(self) -> str:
         return f"SpinorCoords(n={self.n}, {[str(v) for v in self.values]})"
+
+
+def _renamed(mask: int, n: int) -> int:
+    """Mask of the renamed index set: odd sets S become S + {n+1}."""
+    return mask | 1 << n if mask.bit_count() % 2 else mask
 
 
 def _renamed_skew(
@@ -259,26 +237,11 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
         raise ValueError(f"coordinate relations fail, first residual at {bad[0][0]}")
     n = a.n
     rows = generator_rows(a)
-    kept_masks: list[int] = []
-    kept_rows: list[list[Fraction]] = []
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for r, row in enumerate(rows):
-        reduced = list(row)
-        for col, pivot_row in pivots:
-            if reduced[col]:
-                f = reduced[col]
-                reduced = [x - f * y for x, y in zip(reduced, pivot_row)]
-        lead = next((c for c, v in enumerate(reduced) if v), None)
-        if lead is None:
-            continue
-        if len(kept_masks) == n + 1:
-            raise InvariantViolation("more than n+1 independent generator equations")
-        inv = Fraction(1) / reduced[lead]
-        pivots.append((lead, [x * inv for x in reduced]))
-        kept_masks.append(r)
-        kept_rows.append(row)
+    # a row is kept exactly when it is a pivot column of the transposed system
+    _, kept_masks = linalg.rref(list(zip(*rows)))
     if len(kept_masks) != n + 1:
-        raise InvariantViolation("generator system rank differs from n+1")
+        raise InvariantViolation(f"generator system has rank {len(kept_masks)}, not n+1 = {n + 1}")
+    kept_rows = [rows[r] for r in kept_masks]
     basis = linalg.null_space(kept_rows)
     if len(basis) != n:
         raise InvariantViolation("generator solution space has wrong dimension")

@@ -15,7 +15,8 @@ set I of size 2k >= 4,
 with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
 ones (:func:`reconstruct_from_low_grade`); the a = 0 case is handled on the
-geometry side by a rank-based solve.
+geometry side by a rank-based solve.  Every Pfaffian is read from one table
+over index masks (:func:`pfaffians`), built in a single pass.
 
 Each element is verified once.  A :class:`SpinElement` is immutable; it
 computes s * reverse(s) and the Lipschitz verdict at most once each and
@@ -30,9 +31,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
-from .blades import Multivector, Rational, Signature, blade_grade, blade_indices, mask_from_indices
+from .blades import MAX_DIM, Multivector, Rational, Signature, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 
 
@@ -87,8 +88,7 @@ class SpinElement:
 
     def skew_table(self) -> list[list[Fraction]]:
         """Grade-2 coordinates as a full skew matrix, 0-indexed."""
-        pairs = {blade_indices(mask): c for mask, c in self.value.items() if blade_grade(mask) == 2}
-        return _skew_table(pairs, self.signature.dim)
+        return _pair_table(self.value.coefficient, self.signature.dim)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinElement):
@@ -99,26 +99,45 @@ class SpinElement:
         return f"SpinElement({self.value.to_text()})"
 
 
+def pfaffians(table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Pf(A_I) for every index set I of the skew table A, indexed by blade mask.
+
+    One pass in increasing mask order: each even set is expanded along its
+    lowest index, reading the smaller sets already in the table.  Odd sets
+    get 0 and the empty set 1.  The table has 2^d entries, so d is capped
+    at MAX_DIM.
+    """
+    if len(table) > MAX_DIM:
+        raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {len(table)}")
+    pfs = [Fraction(0)] * (1 << len(table))
+    pfs[0] = Fraction(1)
+    for mask in range(3, len(pfs)):
+        if mask.bit_count() % 2:
+            continue
+        low = mask & -mask
+        row = table[low.bit_length() - 1]
+        rest = mask ^ low
+        total = Fraction(0)
+        negate = False
+        bits = rest
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            entry = row[bit.bit_length() - 1]
+            sub = pfs[rest ^ bit]
+            if entry and sub:
+                total += -entry * sub if negate else entry * sub
+            negate = not negate
+        pfs[mask] = total
+    return pfs
+
+
 def pfaffian(skew: Sequence[Sequence[Fraction]], indices: Sequence[int] | None = None) -> Fraction:
     """Pfaffian of a skew matrix restricted to the given 0-based indices."""
     idx = list(range(len(skew))) if indices is None else list(indices)
     if len(idx) % 2:
         raise ValueError("Pfaffian needs an even number of indices")
-    return _pf(skew, tuple(idx))
-
-
-def _pf(skew: Sequence[Sequence[Fraction]], idx: tuple[int, ...]) -> Fraction:
-    if not idx:
-        return Fraction(1)
-    first, rest = idx[0], idx[1:]
-    total = Fraction(0)
-    for pos, other in enumerate(rest):
-        entry = skew[first][other]
-        if entry:
-            remaining = rest[:pos] + rest[pos + 1:]
-            term = entry * _pf(skew, remaining)
-            total += -term if pos % 2 else term
-    return total
+    return pfaffians([[skew[i][j] for j in idx] for i in idx])[-1]
 
 
 def spin_norm(s: SpinElement) -> Fraction:
@@ -202,27 +221,28 @@ class RelationReport:
 
 
 def relation_residuals(
-    scalar: Fraction, skew: Sequence[Sequence[Fraction]], coords: Mapping[tuple[int, ...], Fraction], n: int
+    coord: Callable[[int], Fraction], n: int
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Residual a^(k-1) * a^I - Pf(A_I) for every even index set I, |I| >= 4."""
+    """Residual a^(k-1) * a^I - Pf(A_I) for every even index set I, |I| >= 4.
+
+    ``coord`` reads the coordinates of a rank-n element by blade mask; A is
+    the skew table of its grade-2 coordinates.  Sets come by size, then in
+    lexicographic order.
+    """
+    pfs = pfaffians(_pair_table(coord, n))
+    scalar = coord(0)
     out: list[tuple[tuple[int, ...], Fraction]] = []
     for size in range(4, n + 1, 2):
-        k = size // 2
-        power = scalar ** (k - 1)
+        power = scalar ** (size // 2 - 1)
         for subset in combinations(range(1, n + 1), size):
-            coord = coords.get(subset, Fraction(0))
-            residual = power * coord - pfaffian(skew, [i - 1 for i in subset])
-            out.append((subset, residual))
+            mask = mask_from_indices(subset)
+            out.append((subset, power * coord(mask) - pfs[mask]))
     return out
 
 
 def check_relations(s: SpinElement) -> RelationReport:
     """Evaluate every coordinate relation instance and the norm condition."""
-    n = s.signature.dim
-    scalar = s.scalar_coord()
-    skew = s.skew_table()
-    coords = s.coords()
-    residuals = tuple(relation_residuals(scalar, skew, coords, n))
+    residuals = tuple(relation_residuals(s.value.coefficient, s.signature.dim))
     norm = spin_norm(s)
     ok = all(value == 0 for _, value in residuals)
     return RelationReport(
@@ -231,6 +251,20 @@ def check_relations(s: SpinElement) -> RelationReport:
         spin=ok and norm in (1, -1),
         spin_plus=ok and norm == 1,
     )
+
+
+def completed_coords(scalar: Rational, table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I, by blade mask.
+
+    Pf of the empty set is 1, so the scalar comes back as a, each pair as
+    its table entry, and odd sets as 0.  The scalar must be nonzero.
+    """
+    a = Fraction(scalar)
+    if a == 0:
+        raise ValueError("completion needs a nonzero scalar coordinate")
+    powers = [a ** (k - 1) for k in range(len(table) // 2 + 1)]
+    pfs = pfaffians(table)
+    return [pf / powers[mask.bit_count() // 2] if pf else pf for mask, pf in enumerate(pfs)]
 
 
 def reconstruct_from_low_grade(
@@ -244,23 +278,17 @@ def reconstruct_from_low_grade(
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
     meaningless otherwise.
     """
-    a = Fraction(scalar)
-    if a == 0:
-        raise ValueError("reconstruction requires a nonzero scalar coordinate")
-    n = sig.dim
-    table = _skew_table(skew, n)
-    terms: dict[int, Fraction] = {0: a}
-    for i, j in combinations(range(1, n + 1), 2):
-        if table[i - 1][j - 1]:
-            terms[mask_from_indices((i, j))] = table[i - 1][j - 1]
-    for size in range(4, n + 1, 2):
-        k = size // 2
-        power = a ** (k - 1)
-        for subset in combinations(range(1, n + 1), size):
-            pf = pfaffian(table, [i - 1 for i in subset])
-            if pf:
-                terms[mask_from_indices(subset)] = pf / power
-    return SpinElement(Multivector(sig, terms))
+    coords = completed_coords(scalar, _skew_table(skew, sig.dim))
+    return SpinElement(Multivector(sig, dict(enumerate(coords))))
+
+
+def _pair_table(coord: Callable[[int], Fraction], n: int) -> list[list[Fraction]]:
+    """Skew table of the grade-2 coordinates of a rank-n element, read by mask."""
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = coord(1 << i | 1 << j)
+        table[j][i] = -table[i][j]
+    return table
 
 
 def _skew_table(

@@ -119,6 +119,31 @@ def test_spin_check_interleaved_ordering():
     assert payload["is_spin_plus"] is True
 
 
+# Every even blade of Cl(6,0): the completion of scalar 2 and a dense grade-2
+# table, with most grade-4 and grade-6 coordinates moved off their relations.
+DENSE_PERTURBED_DIM6 = (
+    "2 + 2*e12 - 2*e13 - e23 + 3*e14 - 2*e24 + 2*e34 + e15 + e25 + e35 + e45 - e16"
+    " + 2*e26 - 2*e36 + 3*e46 + e56 - 7/2*e1234 + 1/2*e1235 + 3/2*e1245 - 7/2*e1345"
+    " + 1/2*e2345 + 3/2*e1236 - e1246 - e1346 - 1/2*e2346 - 3/2*e1256 + 1/2*e1356"
+    " + 7/2*e2356 - 5/2*e1456 - 5/2*e2456 - 1/2*e3456 - 15/4*e123456"
+)
+
+
+def test_spin_check_residual_order():
+    """Residuals come by size, then in lexicographic order of the index set."""
+    result = run_cli("spin-check", "--p", "6", "--q", "0", "--s", DENSE_PERTURBED_DIM6)
+    payload = json.loads(result.stdout)
+    expected = [
+        ([1, 2, 3, 4], "-4"), ([1, 2, 3, 5], "-2"), ([1, 2, 3, 6], "2"), ([1, 2, 4, 5], "6"),
+        ([1, 2, 4, 6], "-4"), ([1, 2, 5, 6], "-2"), ([1, 3, 4, 5], "-4"), ([1, 3, 4, 6], "0"),
+        ([1, 3, 5, 6], "2"), ([1, 4, 5, 6], "-4"), ([2, 3, 4, 5], "-2"), ([2, 3, 4, 6], "2"),
+        ([2, 3, 5, 6], "4"), ([2, 4, 5, 6], "-2"), ([3, 4, 5, 6], "2"), ([1, 2, 3, 4, 5, 6], "-12"),
+    ]
+    assert payload["residuals"] == [{"indices": i, "value": v} for i, v in expected]
+    assert payload["norm"] == "2021/16"
+    assert payload["spin"] is False
+
+
 def test_motion_requires_exactly_one_source():
     run_cli("motion", "--n", "2", "--x", "0,1,1,0,0", expect=1)
     run_cli(

@@ -24,7 +24,9 @@ from spinorlab import (
     spin_from_vectors,
     spin_norm,
 )
-from spinorlab.spin import random_unit_vector, vector_norm
+from spinorlab import linalg
+from spinorlab.blades import MAX_DIM
+from spinorlab.spin import pfaffians, random_unit_vector, vector_norm
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -68,15 +70,20 @@ def _perm_sign(perm):
     return sign
 
 
+def _random_skew(rng, size, max_denominator=3):
+    skew = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            v = Fraction(rng.randint(-4, 4), rng.randint(1, max_denominator))
+            skew[i][j] = v
+            skew[j][i] = -v
+    return skew
+
+
 def test_pfaffian_matches_antisymmetrization_oracle():
     rng = random.Random(11)
     for size in (4, 6):
-        skew = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                skew[i][j] = v
-                skew[j][i] = -v
+        skew = _random_skew(rng, size)
         idx = list(range(size))
         assert pfaffian(skew, idx) == antisymmetrized_pair_product(skew, idx)
 
@@ -88,6 +95,34 @@ def test_pfaffian_four_by_four_closed_form():
         a[i][j] = Fraction(v)
         a[j][i] = Fraction(-v)
     assert pfaffian(a) == Fraction(2 * 13 - 3 * 11 + 5 * 7)
+
+
+def test_pfaffian_table_squares_to_determinants():
+    """Pf(A_I)^2 = det(A_I) on every even subset; odd subsets read 0."""
+    skew = _random_skew(random.Random(17), 8)
+    pfs = pfaffians(skew)
+    assert len(pfs) == 1 << 8 and pfs[0] == 1
+    for mask, pf in enumerate(pfs):
+        idx = [i for i in range(8) if mask >> i & 1]
+        if len(idx) % 2:
+            assert pf == 0
+            continue
+        assert pf == pfaffian(skew, idx)
+        assert pf**2 == linalg.det([[skew[i][j] for j in idx] for i in idx])
+
+
+def test_pfaffian_rejects_tables_beyond_max_dim():
+    with pytest.raises(ValueError, match="at most"):
+        pfaffian([[Fraction(0)] * (MAX_DIM + 2)] * (MAX_DIM + 2))
+
+
+def test_reconstruction_completes_at_max_dim():
+    """At MAX_DIM the top coordinate of a dense completion squares to det(A)."""
+    skew = _random_skew(random.Random(19), MAX_DIM, max_denominator=1)
+    element = reconstruct_from_low_grade(1, skew, Signature(8, 8))
+    top = element.value.coefficient((1 << MAX_DIM) - 1)
+    assert top != 0
+    assert top**2 == linalg.det(skew)
 
 
 def test_spin_norm_examples():
