@@ -18,11 +18,11 @@ ones (:func:`reconstruct_from_low_grade`); the a = 0 case is handled on the
 geometry side by a rank-based solve.  Every Pfaffian is read from one table
 over index masks (:func:`pfaffians`), built in a single pass.
 
-Each element is verified once.  A :class:`SpinElement` is immutable; it
-computes s * reverse(s) and the Lipschitz verdict at most once each and
-keeps them, so :func:`is_spin`, :func:`is_spin_plus`, :func:`spin_norm` and
-the actions on vectors, points and spinors all read the kept values.  A
-verified element has s^-1 = reverse(s) / N(s), so no action inverts it.
+Each element is verified once.  A :class:`SpinElement` is immutable and
+keeps only its Lipschitz verdict.  :func:`spin_norm` is the one computation
+of N(s); both of its routes read the element's own terms, since only a blade
+times itself reaches the scalar blade.  A verified element has
+s^-1 = reverse(s) / N(s), so no action inverts it.
 """
 
 from __future__ import annotations
@@ -31,38 +31,32 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Callable, Mapping, Sequence, Union
 
-from .blades import MAX_DIM, Multivector, Rational, Signature, blade_indices, mask_from_indices
+from .blades import MAX_DIM, Multivector, Rational, Signature, blade_indices, blade_product, mask_from_indices
 from .errors import InvariantViolation
 
 
 class SpinElement:
     """Even multivector together with coordinate access a^{i1..i2k}.
 
-    Immutable: ``value`` cannot be reassigned, so the kept product
-    s * reverse(s) and the kept Lipschitz verdict never go stale.  Threads
-    racing on first use only repeat the same computation.
+    Immutable: ``value`` cannot be reassigned, so the Lipschitz verdict,
+    the only thing it keeps, never goes stale.  Threads racing on first use
+    only repeat the same computation.
     """
 
-    __slots__ = ("_value", "_product", "_lipschitz")
+    __slots__ = ("_value", "_lipschitz")
 
     def __init__(self, value: Multivector):
         if not value.is_even():
             raise ValueError("spin elements must be even")
         self._value = value
-        self._product: Multivector | None = None
         self._lipschitz: bool | None = None
 
     @property
     def value(self) -> Multivector:
         return self._value
-
-    def reverse_product(self) -> Multivector:
-        """s * reverse(s), computed on first use and kept."""
-        if self._product is None:
-            self._product = self._value * self._value.reverse()
-        return self._product
 
     def lipschitz(self) -> bool:
         """Verdict of :func:`is_lipschitz`, False when s is singular; kept."""
@@ -141,22 +135,25 @@ def pfaffian(skew: Sequence[Sequence[Fraction]], indices: Sequence[int] | None =
 
 
 def spin_norm(s: SpinElement) -> Fraction:
-    """Signed coordinate sum, cross-checked against scalar(s * reverse(s))."""
-    value = s.value
-    sigmas = value.signature.sigmas()
-    total = Fraction(0)
-    for mask, coeff in value.items():
-        sign = 1
-        rest = mask
-        i = 0
-        while rest:
-            if rest & 1:
-                sign *= sigmas[i]
-            rest >>= 1
-            i += 1
-        total += coeff * coeff * sign
-    if s.reverse_product().scalar_part() != total:
-        raise InvariantViolation("spin norm routes disagree; sign convention broken")
+    """Signed coordinate sum, cross-checked against scalar(s * reverse(s)).
+
+    Only a blade times itself reaches the scalar blade, so the scalar is the
+    sum of c^2 times each blade's reversion sign times the sign of its square.
+    """
+    sig = s.signature
+    sigmas = sig.sigmas()
+    total = diagonal = Fraction(0)
+    for mask, coeff in s.value.items():
+        square = coeff * coeff
+        total += square * prod(sigmas[i - 1] for i in blade_indices(mask))
+        grade = mask.bit_count()
+        sign = blade_product(mask, mask, sig)[0]
+        diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
+    if diagonal != total:
+        raise InvariantViolation(
+            "spin norm routes disagree, sign convention broken: "
+            f"coordinate sum {total}, scalar(s * reverse(s)) {diagonal}"
+        )
     return total
 
 
@@ -190,7 +187,7 @@ def _verified_norm(s: Union[SpinElement, Multivector]) -> Fraction | None:
         if not s.is_even():
             return None
         s = SpinElement(s)
-    norm = s.reverse_product().scalar_part()
+    norm = spin_norm(s)
     if norm not in (1, -1) or not s.lipschitz():
         return None
     return norm
@@ -380,9 +377,10 @@ def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = Fal
         chosen[chosen.index(-1)] = 1
     vectors = [random_unit_vector(sig, rng, sign) for sign in chosen]
     element = spin_from_vectors(vectors)
-    if not is_spin(element):
+    norm = _verified_norm(element)
+    if norm is None:
         raise InvariantViolation("product of unit vectors failed the spin predicate")
-    if norm_plus and spin_norm(element) != 1:
+    if norm_plus and norm != 1:
         raise InvariantViolation("norm balancing failed")
     return element
 
@@ -399,6 +397,6 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
     result = s.value * x * (s.value.reverse() / norm)
     if not result.is_grade(1):
         raise InvariantViolation("conjugation left the vector space")
-    if (result * result).scalar_part() != (x * x).scalar_part():
+    if vector_norm(result) != vector_norm(x):
         raise InvariantViolation("conjugation changed the quadratic form")
     return result

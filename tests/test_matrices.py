@@ -99,8 +99,8 @@ def test_representation_multiplicative(n):
 
 
 def test_representation_multiplicative_on_all_blade_pairs():
-    # exhaustive, not sampled: every blade pair at ranks 1 and 2
-    for n in (1, 2):
+    # exhaustive, not sampled: every blade pair at ranks 1, 2 and 3
+    for n in (1, 2, 3):
         sig = neutral_signature(n)
         for m1 in range(1 << (2 * n)):
             b1 = Multivector.blade(sig, m1)

@@ -25,7 +25,8 @@ from spinorlab import (
     spin_norm,
 )
 from spinorlab import linalg
-from spinorlab.blades import MAX_DIM
+from spinorlab.blades import MAX_DIM, blade_product
+from spinorlab.errors import InvariantViolation
 from spinorlab.spin import pfaffians, random_unit_vector, vector_norm
 
 CL20 = Signature(2, 0)
@@ -117,12 +118,15 @@ def test_pfaffian_rejects_tables_beyond_max_dim():
 
 
 def test_reconstruction_completes_at_max_dim():
-    """At MAX_DIM the top coordinate of a dense completion squares to det(A)."""
+    """At MAX_DIM a dense completion squares to det(A) and passes its relations."""
     skew = _random_skew(random.Random(19), MAX_DIM, max_denominator=1)
     element = reconstruct_from_low_grade(1, skew, Signature(8, 8))
     top = element.value.coefficient((1 << MAX_DIM) - 1)
     assert top != 0
     assert top**2 == linalg.det(skew)
+    report = check_relations(element)
+    assert report.relations_ok
+    assert report.spin == (report.norm in (1, -1))
 
 
 def test_spin_norm_examples():
@@ -131,6 +135,36 @@ def test_spin_norm_examples():
     assert spin_norm(rotation) == 1
     boost = SpinElement(Multivector(CL11, {0: Fraction(5, 4), 0b11: Fraction(3, 4)}))
     assert spin_norm(boost) == 1  # sigma(1)*sigma(2) = -1 flips the bivector square
+
+
+def test_spin_norm_matches_full_product():
+    """Seeded spin, dense and perturbed elements at dims 2..8 against the full
+    product s * reverse(s), which is formed only here, as the oracle."""
+    for dim in range(2, 9):
+        plain = Signature(dim - dim // 2, dim // 2)
+        for sig in (plain, Signature(dim // 2, dim - dim // 2, INTERLEAVED)):
+            skew = _random_skew(random.Random(dim), dim)
+            elements = [random_spin_element(sig, dim + k, k) for k in (1, 2)]
+            elements.append(reconstruct_from_low_grade(Fraction(2, 3), skew, sig))
+            bump = Multivector.blade(sig, 0b11, Fraction(1, 3))
+            elements += [SpinElement(s.value + bump) for s in elements]
+            for s in elements:
+                assert spin_norm(s) == (s.value * s.value.reverse()).scalar_part()
+
+
+def test_spin_norm_failure_carries_both_routes(monkeypatch):
+    s = SpinElement(Multivector(CL20, {0: Fraction(3, 5), 0b11: Fraction(4, 5)}))
+
+    def flipped(b1, b2, sig):
+        sign, mask = blade_product(b1, b2, sig)
+        return (-sign if b1 == b2 == 0b11 else sign), mask
+
+    monkeypatch.setattr("spinorlab.spin.blade_product", flipped)
+    for check in (spin_norm, is_spin):
+        with pytest.raises(InvariantViolation) as caught:
+            check(s)
+        assert "coordinate sum 1" in str(caught.value)
+        assert "scalar(s * reverse(s)) -7/25" in str(caught.value)
 
 
 def test_spin_norm_rejects_odd():
