@@ -115,11 +115,11 @@ def even_subalgebra_generator_images(sig: Signature) -> list[Multivector]:
     return images
 
 
-def verify_even_subalgebra_map(sig: Signature, check_spanning: bool = True) -> bool:
+def verify_even_subalgebra_map(sig: Signature) -> bool:
     """Check the generator map behind :func:`even_subalgebra_signature`.
 
     Verifies the target Clifford relations f_i f_j + f_j f_i = 2 sigma'(i)
-    delta_ij exactly, and (optionally) that products of the images hit
+    delta_ij exactly, and that products of the images hit
     2^(p+q-1) distinct blades, i.e. the induced map is onto the even part.
     """
     target = even_subalgebra_signature(sig)
@@ -133,22 +133,19 @@ def verify_even_subalgebra_map(sig: Signature, check_spanning: bool = True) -> b
             )
             if anti != expected:
                 return False
-    if check_spanning:
-        seen_masks: set[int] = set()
-        for r in range(target.dim + 1):
-            for subset in combinations(range(target.dim), r):
-                product = Multivector.scalar(sig, 1)
-                for idx in subset:
-                    product = product * images[idx]
-                if len(product) != 1:
-                    return False
-                (mask,) = product.masks()
-                if blade_grade(mask) % 2:
-                    return False
-                seen_masks.add(mask)
-        if len(seen_masks) != 1 << (sig.dim - 1):
-            return False
-    return True
+    seen_masks: set[int] = set()
+    for r in range(target.dim + 1):
+        for subset in combinations(range(target.dim), r):
+            product = Multivector.scalar(sig, 1)
+            for idx in subset:
+                product = product * images[idx]
+            if len(product) != 1:
+                return False
+            (mask,) = product.masks()
+            if blade_grade(mask) % 2:
+                return False
+            seen_masks.add(mask)
+    return len(seen_masks) == 1 << (sig.dim - 1)
 
 
 def center_structure(sig: Signature) -> str:

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from . import linalg
@@ -21,6 +22,7 @@ from .blades import INTERLEAVED, PLAIN, Multivector, Signature
 from .errors import InvariantViolation
 from .geometry import (
     SpinorCoords,
+    generator_rows,
     generator_to_spinor,
     independent_system,
     kernel_spinors,
@@ -118,12 +120,12 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 def cmd_classify(args: argparse.Namespace) -> dict:
     sig = Signature(args.p, args.q)
     report = descriptor(sig)
+    direct = classify(sig)
     verdicts = {
-        "dimension_identity": classify(sig).real_dimension == 1 << sig.dim,
+        "dimension_identity": direct.real_dimension == 1 << sig.dim,
     }
     if sig.dim % 2 == 0 and sig.dim > 0:
         via_factors = factorization_class(sig)
-        direct = classify(sig)
         verdicts["factorization_matches"] = (
             via_factors.ring,
             via_factors.size,
@@ -156,18 +158,19 @@ def cmd_xi(args: argparse.Namespace) -> dict:
 def cmd_kernel(args: argparse.Namespace) -> dict:
     x = _parse_coords(args.x, 2 * args.n + 1)
     basis = kernel_spinors(x)
-    xi_rows = build_xi(x).rows()
+    # Xi(x) a = 0 exactly when every generator row of a vanishes at x
     annihilated = all(
-        all(v == 0 for v in linalg.mat_vec(xi_rows, vec.values)) for vec in basis
+        sum(c * v for c, v in zip(row, x)) == 0 for vec in basis for row in generator_rows(vec)
     )
+    form_value = quadratic_form(x)
     return {
         "n": args.n,
         "x": list(x),
-        "form_value": quadratic_form(x),
+        "form_value": form_value,
         "kernel_dimension": len(basis),
         "basis": [vec.to_named() for vec in basis],
         "verdicts": {
-            "point_on_absolute": quadratic_form(x) == 0,
+            "point_on_absolute": form_value == 0,
             "dimension_is_2_pow_n_minus_1": len(basis) == 1 << (args.n - 1),
             "basis_annihilated": annihilated,
         },
@@ -279,35 +282,29 @@ def cmd_motion(args: argparse.Namespace) -> dict:
 # -- input parsing --------------------------------------------------------------
 
 
-def _parse_coords(text: str, expected: int) -> list[Fraction]:
+def _parse_rationals(text: str, what: str) -> list[Fraction]:
     try:
-        values = [Fraction(token.strip()) for token in text.split(",")]
+        return [Fraction(token.strip()) for token in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse coordinates {text!r}: {exc}")
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}")
+
+
+def _parse_coords(text: str, expected: int) -> list[Fraction]:
+    values = _parse_rationals(text, "coordinates")
     if len(values) != expected:
         raise ValueError(f"expected {expected} coordinates, got {len(values)}")
     return values
 
 
 def _parse_spinor(n: int, text: str) -> SpinorCoords:
-    try:
-        values = [Fraction(token.strip()) for token in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse spinor coordinates {text!r}: {exc}")
+    values = _parse_rationals(text, "spinor coordinates")
     full = 1 << n
     low = 1 + n + n * (n - 1) // 2
     if len(values) == full:
         return SpinorCoords(n, values)
     if len(values) == low != full:
-        scalar = values[0]
-        vector = values[1 : 1 + n]
-        pairs = {}
-        pos = 1 + n
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pairs[(i, j)] = values[pos]
-                pos += 1
-        return SpinorCoords.from_low_grade(n, scalar, vector, pairs)
+        pairs = dict(zip(combinations(range(1, n + 1), 2), values[1 + n :]))
+        return SpinorCoords.from_low_grade(n, values[0], values[1 : 1 + n], pairs)
     raise ValueError(
         f"spinor for rank {n} needs {full} coordinates "
         f"(or {low} low-grade ones: scalar, singles, ordered pairs)"

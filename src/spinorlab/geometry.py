@@ -349,38 +349,26 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
 
 
 def _read_off_spinor(g: PlaneGenerator) -> SpinorCoords | None:
+    """Coordinates a, a^i, a^{ij} named by the canonical rows, or None.
+
+    Entry (r, i) is (E_i a)[r]; E_i is a signed permutation, so the entry is
+    sign * a[j] for the one column j it sends to row r.  The canonical rows
+    name exactly the coordinates of grade <= 2, each at least three times;
+    a generator whose entries disagree on a coordinate is not read off.
+    """
     n = g.n
-    sign_n = -1 if n % 2 else 1
-    row0 = g.equations[0]
-    scalar = sign_n * row0[0]
+    named: dict[int, Fraction] = {}
+    for r, row in zip(g.row_masks, g.equations):
+        for image, entry in zip(point_blade_images(n), row):
+            j = image.perm.index(r)
+            value = image.signs[j] * entry
+            if named.setdefault(j, value) != value:
+                return None
+    scalar = named[0]
     if scalar == 0:
         return None
-    vector = []
-    for i in range(1, n + 1):
-        sgn = -1 if (n - i) % 2 else 1
-        if row0[2 * i - 1] != row0[2 * i]:
-            return None
-        vector.append(sgn * row0[2 * i])
-    skew: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, n + 1):
-        row = g.equations[i]
-        sgn_x0 = -1 if (n - 1) % 2 else 1
-        if row[0] != sgn_x0 * vector[i - 1]:
-            return None
-        sgn_vi = -1 if (n + i) % 2 else 1
-        if row[2 * i] != sgn_vi * scalar or row[2 * i - 1] != -sgn_vi * scalar:
-            return None
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            sgn_j = -1 if (n + j) % 2 else 1
-            value = sgn_j * row[2 * j]
-            if row[2 * j - 1] != row[2 * j]:
-                return None
-            if i < j:
-                skew[(i, j)] = value
-            elif skew.get((j, i)) != -value:
-                return None
+    vector = [named[1 << (i - 1)] for i in range(1, n + 1)]
+    skew = {pair: named[mask_from_indices(pair)] for pair in combinations(range(1, n + 1), 2)}
     try:
         return SpinorCoords.from_low_grade(n, scalar, vector, skew)
     except ValueError:
@@ -388,11 +376,14 @@ def _read_off_spinor(g: PlaneGenerator) -> SpinorCoords | None:
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
+    # Xi(x) a = 0 exactly when every generator row of a vanishes at x
+    rows = generator_rows(a)
     for point in g.basis:
-        xi = build_xi(list(point))
-        image = linalg.mat_vec(xi.rows(), a.values)
-        if any(v != 0 for v in image):
-            raise InvariantViolation("read-off spinor does not annihilate the generator")
+        support = [(i, v) for i, v in enumerate(point) if v]
+        if any(sum(row[i] * v for i, v in support) for row in rows):
+            raise InvariantViolation(
+                f"read-off spinor does not annihilate the generator point ({', '.join(map(str, point))})"
+            )
 
 
 def _rank_solve_spinor(g: PlaneGenerator) -> SpinorCoords:

@@ -22,6 +22,10 @@ and E_i omits generator i.  Its image, the point matrix Xi, obeys the
 with base [[x^0]], and satisfies Xi^2 = Q(x) I for the alternating form
 Q(x) = (x^0)^2 - (x^1)^2 + (x^2)^2 - ... + (x^{2n})^2, as a polynomial
 identity.  The recursion is the source of truth for every entry sign.
+Geometry and the CLI read this layout only through the images E_i of
+:func:`point_blade_images`: each is a signed permutation, so the x^i
+coefficient of row r of Xi(x) a = 0 is a signed copy of the one
+coordinate of a that E_i sends to row r.
 """
 
 from __future__ import annotations
@@ -201,7 +205,10 @@ class XiMatrix:
                 for c in range(self.size):
                     expected = q if r == c else Fraction(0)
                     if square[r][c] != expected:
-                        raise InvariantViolation("point-matrix square identity failed")
+                        raise InvariantViolation(
+                            f"point-matrix square identity failed at entry ({r}, {c}): "
+                            f"{square[r][c]}, expected {expected} with Q(x) = {q}"
+                        )
 
     def token_rows(self) -> list[list[str]]:
         """Symbolic entries as sign-prefixed tokens, e.g. ``-x1+x2``."""
@@ -288,8 +295,12 @@ def _verify_symbolic_square(xi: XiMatrix) -> None:
                 row_products[j] = row_products.get(j, Poly.zero()) + left * right
         for j in range(size):
             expected = q if j == r else Poly.zero()
-            if row_products.get(j, Poly.zero()) != expected:
-                raise InvariantViolation("symbolic point-matrix square identity failed")
+            value = row_products.get(j, Poly.zero())
+            if value != expected:
+                raise InvariantViolation(
+                    f"symbolic point-matrix square identity failed at entry ({r}, {j}): "
+                    f"{value!r}, expected {expected!r}"
+                )
 
 
 def _entry_token(entry: Poly) -> str:

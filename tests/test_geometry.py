@@ -1,11 +1,14 @@
 """Absolute geometry: kernels, plane generators, the two-valued spinor map."""
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from spinorlab import (
+    InvariantViolation,
     Multivector,
     PointClass,
     SpinElement,
@@ -25,8 +28,8 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, generator_rows
-from spinorlab.matrices import build_xi
+from spinorlab.geometry import _primitive, _read_off_spinor, _verify_spinor_matches, generator_rows
+from spinorlab.matrices import MAX_RANK, build_xi
 
 
 def frac(values):
@@ -250,13 +253,36 @@ def test_zero_image_trivial():
 # -- generator <-> spinor correspondence ------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
 def test_roundtrip_exact_on_relation_spinors(n):
     rng = random.Random(900 + n)
     for _ in range(12):
         a = random_relation_spinor(n, rng)
         recovered = generator_to_spinor(independent_system(a))
         assert recovered == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_read_off_rejects_any_changed_canonical_entry(n):
+    # every coordinate the canonical rows name is named at least three times,
+    # so one changed entry always leaves two readings that disagree
+    rng = random.Random(950 + n)
+    for _ in range(4):
+        g = independent_system(random_relation_spinor(n, rng))
+        assert g.row_masks == (0,) + tuple(1 << i for i in range(n))
+        assert _read_off_spinor(g) is not None
+        for k, row in enumerate(g.equations):
+            for i in range(len(row)):
+                for delta in (Fraction(1), Fraction(-1), Fraction(1, 2)):
+                    changed = list(g.equations)
+                    changed[k] = row[:i] + (row[i] + delta,) + row[i + 1 :]
+                    assert _read_off_spinor(replace(g, equations=tuple(changed))) is None
+
+
+def test_read_off_check_names_the_point():
+    g = independent_system(SpinorCoords(2, [1, 0, 0, 0]))
+    with pytest.raises(InvariantViolation, match=re.escape("generator point (0, 1, 1, 0, 0)")):
+        _verify_spinor_matches(SpinorCoords(2, [1, 0, 0, 1]), g)
 
 
 def test_roundtrip_worked_line():

@@ -1,13 +1,16 @@
 """Recursive matrix representation and the point matrices."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from spinorlab import (
+    InvariantViolation,
     Multivector,
     SpinElement,
+    XiMatrix,
     build_xi,
     build_xi_symbolic,
     linalg,
@@ -205,6 +208,22 @@ def test_xi_square_check_values():
     for _ in range(10):
         x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(7)]
         assert xi_square_check(x) == quadratic_form(x)
+
+
+def test_square_identity_failure_names_the_entry():
+    x = [1, 2, 3, 4, 5]
+    rows = build_xi(x).rows()
+    rows[1][2] += 1
+    tampered = XiMatrix(2, tuple(map(tuple, rows)), symbolic=False)
+    with pytest.raises(InvariantViolation, match=re.escape("entry (0, 2): -5, expected 0 with Q(x) = 15")):
+        tampered.verify_square_identity(x)
+    rows = build_xi_symbolic(2).rows()
+    rows[0][1] = -rows[0][1]
+    tampered = XiMatrix(2, tuple(map(tuple, rows)), symbolic=True)
+    found = "1*x0*x0 + 1*x1*x1 + -1*x2*x2 + -1*x3*x3 + 1*x4*x4"
+    expected = "1*x0*x0 + -1*x1*x1 + 1*x2*x2 + -1*x3*x3 + 1*x4*x4"
+    with pytest.raises(InvariantViolation, match=re.escape(f"entry (0, 0): {found}, expected {expected}")):
+        tampered.verify_square_identity()
 
 
 def test_quadratic_form_examples():
