@@ -2,10 +2,13 @@
 
 An even invertible element s whose conjugation x -> s x s^-1 preserves the
 grade-1 space is a (special) Lipschitz element; those with spin norm +-1
-form the spin group, norm +1 the reduced spin group.  The spin norm is the
-scalar of s * reverse(s), which equals the signed coordinate sum
-sum sigma(i1)...sigma(i2k) * (a^{i1..i2k})^2; both routes are computed and
-compared, which pins the sign convention once and for all.
+form the spin group, norm +1 the reduced spin group.  Membership is
+decided by the Pfaffian relations below plus N(s) != 0, after a blade moves
+s to a nonzero scalar (:func:`is_lipschitz`), so an even or odd s is never
+inverted.  The spin norm is the scalar of s * reverse(s), which equals the
+signed coordinate sum sum sigma(i1)...sigma(i2k) * (a^{i1..i2k})^2; both
+routes are computed and compared, which pins the sign convention once and
+for all.
 
 Coordinates of spin elements obey Pfaffian relations: for every even index
 set I of size 2k >= 4,
@@ -160,15 +163,33 @@ def spin_norm(s: SpinElement) -> Fraction:
 def is_lipschitz(s: Multivector) -> bool:
     """True when s e_i s^-1 is pure grade 1 for every generator.
 
-    Raises ValueError when s is not invertible.
+    A homogeneous s is decided without inverting or conjugating.  It is
+    Lipschitz exactly when t = s e_M is, with e_M its lowest blade; t is even
+    with a nonzero scalar a, so it is Lipschitz exactly when its coordinates
+    obey the Pfaffian relations, t = a exp_wedge(A / a), and N(t) != 0.  A
+    mixed s passes only in odd dimension, where the volume element w is
+    central, and then exactly as (x + y w) s_0 with s_0 its even part in the
+    group: its odd part times w is a multiple of s_0.
+
+    Raises ValueError when s is singular and obeys the relations, or is
+    singular of mixed parity.  A singular homogeneous s that fails the
+    relations is not Lipschitz, and gives False.
     """
-    inv = s.inverse()  # raises for singular input
     sig = s.signature
-    for i in range(1, sig.dim + 1):
-        conj = s * Multivector.generator(sig, i) * inv
-        if not conj.is_grade(1):
+    if len({mask.bit_count() & 1 for mask in s.masks()}) == 1:
+        low = min(s.masks())
+        t = SpinElement(s * Multivector.blade(sig, low) if low else s)
+        if any(value for _, value in relation_residuals(t.value.coefficient, sig.dim)):
             return False
-    return True
+        if spin_norm(t) == 0:
+            raise ValueError("multivector is not invertible")
+        return True
+    s.inverse()  # raises for zero or singular input
+    even = Multivector(sig, {m: c for m, c in s.items() if not m.bit_count() & 1})
+    turned = (s - even) * Multivector.blade(sig, (1 << sig.dim) - 1)
+    first = next(even.masks())
+    ratio = turned.coefficient(first) / even.coefficient(first)
+    return sig.dim % 2 == 1 and turned == even * ratio and is_lipschitz(even)
 
 
 def is_spin(s: Union[SpinElement, Multivector]) -> bool:

@@ -2,9 +2,10 @@
 
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -179,6 +180,84 @@ def test_is_lipschitz():
     assert not is_lipschitz(mixed)
     with pytest.raises(ValueError):
         is_lipschitz(Multivector(CL20, {0: 1, 0b01: 1}))  # (1+e1) is singular
+
+
+def _reverse_oracle(s):
+    """The defining test, formed only here: s * reverse(s) is a nonzero scalar
+    and every s e_i reverse(s) is pure grade 1."""
+    rev = s.reverse()
+    norm = s * rev
+    if norm.is_zero() or not norm.is_grade(0):
+        return False
+    sig = s.signature
+    return all((s * Multivector.generator(sig, i) * rev).is_grade(1) for i in range(1, sig.dim + 1))
+
+
+def _ternary_elements(sig, parity):
+    masks = [m for m in range(1 << sig.dim) if m.bit_count() % 2 == parity]
+    for coeffs in product((-1, 0, 1), repeat=len(masks)):
+        if any(coeffs):
+            yield Multivector(sig, dict(zip(masks, coeffs)))
+
+
+def test_lipschitz_matches_conjugation_on_every_small_element():
+    """Every even element of Cl(2,2) and every odd one of Cl(3,0) and Cl(2,1)
+    with coefficients in {-1, 0, 1}, against the conjugation oracle."""
+    for sig in (Signature(2, 2), Signature(2, 2, INTERLEAVED)):
+        verdicts = [SpinElement(s).lipschitz() == _reverse_oracle(s) for s in _ternary_elements(sig, 0)]
+        assert len(verdicts) == 3**8 - 1 and all(verdicts)
+    for sig in (Signature(3, 0), Signature(2, 1)):
+        for s in _ternary_elements(sig, 1):
+            try:
+                assert is_lipschitz(s) == _reverse_oracle(s)
+            except ValueError:
+                assert (s * s.reverse()).is_zero()  # raises only when singular
+
+
+def test_mixed_parity_passes_only_through_the_centre():
+    """In odd dimension the volume element w is central, so (x + y w) g with g
+    in the group conjugates like g; in even dimension no mixed element passes."""
+
+    def conjugation(s):
+        try:
+            inv = s.inverse()
+        except ValueError:
+            return None
+        sig = s.signature
+        return all((s * Multivector.generator(sig, i) * inv).is_grade(1) for i in range(1, sig.dim + 1))
+
+    def verdict(s):
+        try:
+            return is_lipschitz(s)
+        except ValueError:
+            return None
+
+    seen = set()
+    for sig in (Signature(3, 0), Signature(2, 1), Signature(3, 2), Signature(2, 2)):
+        omega = Multivector.blade(sig, (1 << sig.dim) - 1)
+        one = Multivector.scalar(sig, 1)
+        e1, e2 = Multivector.generator(sig, 1), Multivector.generator(sig, 2)
+        factors = (one + omega, one * 2 - omega, one + omega * 3, one + e1, one + e1 + omega)
+        for seed in range(2):
+            g = random_spin_element(sig, seed, 1).value
+            for factor in factors:
+                for s in (factor * g, factor * g * e2):
+                    if len({mask.bit_count() % 2 for mask in s.masks()}) < 2:
+                        continue
+                    expected = conjugation(s)
+                    assert verdict(s) == expected
+                    seen.add((sig.dim % 2, expected))
+    assert {(1, True), (1, False), (1, None), (0, False)} <= seen
+
+
+def test_lipschitz_on_dense_elements_at_dim_12():
+    skew = _random_skew(random.Random(12), 12, max_denominator=1)
+    sig = Signature(6, 6)
+    element = reconstruct_from_low_grade(1, skew, sig)
+    start = time.perf_counter()
+    assert element.lipschitz()
+    assert not SpinElement(element.value + Multivector.blade(sig, 0b11, Fraction(1, 3))).lipschitz()
+    assert time.perf_counter() - start < 5.0
 
 
 def test_is_spin_cases():
