@@ -202,7 +202,8 @@ def _ternary_elements(sig, parity):
 
 def test_lipschitz_matches_conjugation_on_every_small_element():
     """Every even element of Cl(2,2) and every odd one of Cl(3,0) and Cl(2,1)
-    with coefficients in {-1, 0, 1}, against the conjugation oracle."""
+    with coefficients in {-1, 0, 1}, against conjugation by reverse(s).  The
+    odd ones need the blade chart change, and may raise only when singular."""
     for sig in (Signature(2, 2), Signature(2, 2, INTERLEAVED)):
         verdicts = [SpinElement(s).lipschitz() == _reverse_oracle(s) for s in _ternary_elements(sig, 0)]
         assert len(verdicts) == 3**8 - 1 and all(verdicts)
@@ -251,6 +252,8 @@ def test_mixed_parity_passes_only_through_the_centre():
 
 
 def test_lipschitz_on_dense_elements_at_dim_12():
+    """A dense completion (1996 terms) passes and a perturbed one fails, with no
+    dense product: conjugation needed tens of seconds at dim 8 already."""
     skew = _random_skew(random.Random(12), 12, max_denominator=1)
     sig = Signature(6, 6)
     element = reconstruct_from_low_grade(1, skew, sig)
