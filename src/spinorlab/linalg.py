@@ -1,13 +1,16 @@
 """Small exact linear algebra kernel over Fraction matrices.
 
-Matrices are lists of row lists.  Nothing here mutates its arguments;
-reductions copy first.  Pivoting is deterministic (first nonzero entry in
-column order), which fixes echelon forms and null-space bases bit for bit.
+Matrices are lists of row lists, and nothing here mutates its arguments.
+:func:`rref` eliminates fraction-free on primitive integer rows and turns
+to ``Fraction`` once, at the end; :func:`det` stays plain ``Fraction``
+elimination.  Pivoting is deterministic (first nonzero entry in column
+order), which fixes echelon forms and null-space bases bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -58,11 +61,25 @@ def mat_eq(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> 
     return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g < 2 else [v // g for v in row]
+
+
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = copy_matrix(rows)
+    """Reduced row echelon form and the list of pivot columns.
+
+    Each row is scaled to integers by the lcm of its own denominators and
+    kept primitive.  A pivot p clears an entry f by cross-multiplying with
+    p/g and f/g (g = gcd(p, f)) over the pivot row's nonzero support, so no
+    ``Fraction`` is formed until each pivot row is divided by its pivot.
+    """
+    m: list[list[int]] = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        m.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     if not m:
-        return m, []
+        return [], []
     n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -71,17 +88,27 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
+        support = [(j, top[j]) for j in range(c, n_cols) if top[j]]
         for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = m[i] if a == 1 else [a * v for v in m[i]]
+            for j, v in support:
+                row[j] -= b * v
+            m[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    reduced = [[Fraction(v, m[k][c]) if v else zero for v in m[k]] for k, c in enumerate(pivots)]
+    reduced.extend([zero] * n_cols for _ in range(n_rows - len(pivots)))
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -199,16 +200,7 @@ class XiMatrix:
         else:
             if x is None:
                 raise ValueError("evaluated matrices need their coordinates for the check")
-            square = linalg.mat_mul(self.entries, self.entries)
-            q = quadratic_form(x)
-            for r in range(self.size):
-                for c in range(self.size):
-                    expected = q if r == c else Fraction(0)
-                    if square[r][c] != expected:
-                        raise InvariantViolation(
-                            f"point-matrix square identity failed at entry ({r}, {c}): "
-                            f"{square[r][c]}, expected {expected} with Q(x) = {q}"
-                        )
+            _verify_evaluated_square(self.entries, quadratic_form(x))
 
     def token_rows(self) -> list[list[str]]:
         """Symbolic entries as sign-prefixed tokens, e.g. ``-x1+x2``."""
@@ -273,6 +265,27 @@ def xi_square_check(x: Sequence[Rational]) -> Fraction:
     xi = build_xi(x)
     xi.verify_square_identity(x)
     return quadratic_form(x)
+
+
+def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:
+    """Square the sparse rows of L*Xi in integers, L the lcm of the entries'
+    denominators, and compare with L^2 Q(x) I; a failure is reported in the
+    original units at its first entry in row order."""
+    scale = lcm(*(v.denominator for row in entries for v in row))
+    sparse = [[(c, v.numerator * (scale // v.denominator)) for c, v in enumerate(row) if v] for row in entries]
+    target = scale * scale * q
+    for r, row in enumerate(sparse):
+        square = {r: 0}
+        for k, a in row:
+            for c, b in sparse[k]:
+                square[c] = square.get(c, 0) + a * b
+        for c in sorted(square):
+            if square[c] != (target if c == r else 0):
+                expected = q if c == r else Fraction(0)
+                raise InvariantViolation(
+                    f"point-matrix square identity failed at entry ({r}, {c}): "
+                    f"{Fraction(square[c], scale * scale)}, expected {expected} with Q(x) = {q}"
+                )
 
 
 def _verify_symbolic_square(xi: XiMatrix) -> None:
