@@ -17,10 +17,6 @@ Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def copy_matrix(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(map(Fraction, row)) for row in rows]
-
-
 def zeros(n_rows: int, n_cols: int) -> Matrix:
     return [[Fraction(0)] * n_cols for _ in range(n_rows)]
 
@@ -70,9 +66,10 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Each row is scaled to integers by the lcm of its own denominators and
-    kept primitive.  A pivot p clears an entry f by cross-multiplying with
-    p/g and f/g (g = gcd(p, f)) over the pivot row's nonzero support, so no
-    ``Fraction`` is formed until each pivot row is divided by its pivot.
+    kept primitive.  A pivot p clears an entry f of another row as
+    (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), subtracting over the
+    pivot row's nonzero support only, so no ``Fraction`` is formed until
+    each pivot row is divided by its pivot.
     """
     m: list[list[int]] = []
     for row in rows:
@@ -158,7 +155,7 @@ def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
-    m = copy_matrix(rows)
+    m = [list(map(Fraction, row)) for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")

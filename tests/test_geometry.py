@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -127,6 +128,18 @@ def test_kernel_dimension_random(n):
         xi_rows = build_xi(x).rows()
         for vec in basis:
             assert all(v == 0 for v in linalg.mat_vec(xi_rows, vec.values))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_kernel_at_large_rank_within_budget(n):
+    x = random_absolute_point(n, random.Random(700 + n))
+    started = time.perf_counter()
+    basis = kernel_spinors(x)
+    assert time.perf_counter() - started < 10.0
+    assert len(basis) == 1 << (n - 1)
+    xi_rows = build_xi(x).rows()
+    for vec in (basis[0], basis[-1]):
+        assert all(v == 0 for v in linalg.mat_vec(xi_rows, vec.values))
 
 
 # -- spinor coordinates ----------------------------------------------------------

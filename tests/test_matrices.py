@@ -217,6 +217,12 @@ def test_square_identity_failure_names_the_entry():
     tampered = XiMatrix(2, tuple(map(tuple, rows)), symbolic=False)
     with pytest.raises(InvariantViolation, match=re.escape("entry (0, 2): -5, expected 0 with Q(x) = 15")):
         tampered.verify_square_identity(x)
+    for (r, c), message in [((1, 2), "entry (0, 2): -5/3, expected 0"), ((0, 0), "entry (0, 0): 142/9, expected 15")]:
+        rows = build_xi(x).rows()
+        rows[r][c] += Fraction(1, 3)
+        tampered = XiMatrix(2, tuple(map(tuple, rows)), symbolic=False)
+        with pytest.raises(InvariantViolation, match=re.escape(f"{message} with Q(x) = 15")):
+            tampered.verify_square_identity(x)
     rows = build_xi_symbolic(2).rows()
     rows[0][1] = -rows[0][1]
     tampered = XiMatrix(2, tuple(map(tuple, rows)), symbolic=True)
@@ -224,6 +230,44 @@ def test_square_identity_failure_names_the_entry():
     expected = "1*x0*x0 + -1*x1*x1 + 1*x2*x2 + -1*x3*x3 + 1*x4*x4"
     with pytest.raises(InvariantViolation, match=re.escape(f"entry (0, 0): {found}, expected {expected}")):
         tampered.verify_square_identity()
+
+
+def first_square_failure(rows, q):
+    """Dense Fraction square of rows: the first entry, in row order, off Q(x) I."""
+    size = len(rows)
+    for r in range(size):
+        for c in range(size):
+            value = sum(rows[r][k] * rows[k][c] for k in range(size))
+            expected = q if r == c else Fraction(0)
+            if value != expected:
+                return f"entry ({r}, {c}): {value}, expected {expected} with Q(x) = {q}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1, 2, 3, 4, 5],
+        [-2, 1, 0, 3, 1, 4, -1],
+        [Fraction(1, 2), Fraction(3, 5), 2, Fraction(1, 7), Fraction(5, 4)],
+        [Fraction(-3, 4), 1, Fraction(2, 9), 0, Fraction(7, 10), Fraction(1, 2), 5],
+    ],
+)
+def test_square_check_catches_tampering_with_any_denominator(x):
+    # A tampered entry whose denominator the coordinates do not share must
+    # still be seen, and reported at its exact rational value.
+    q = quadratic_form(x)
+    n = (len(x) - 1) // 2
+    size = 1 << n
+    for r, c in [(1, 2), (0, size - 1), (size - 1, 0), (0, 0), (size - 1, size - 1)]:
+        for delta in (Fraction(1, 3), Fraction(-2, 7), Fraction(1, 1000)):
+            rows = build_xi(x).rows()
+            rows[r][c] += delta
+            expected = first_square_failure(rows, q)
+            assert expected is not None
+            tampered = XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
+            with pytest.raises(InvariantViolation, match=re.escape(expected)):
+                tampered.verify_square_identity(x)
 
 
 def test_quadratic_form_examples():
