@@ -9,8 +9,10 @@ a^{i1..ik,n+1}) cuts the plane generator {x : Xi(x) a = 0} out of the
 absolute: of its 2^n linear equations only n+1 are independent, and the
 solution set is a maximal isotropic subspace of projective dimension n-1.
 The representing spinor is determined by the generator up to scale, and up
-to sign once normalized; both directions of the correspondence live here,
-together with the motion action on points and on spinors.
+to sign once normalized: it is Chevalley's pure spinor, the product
+Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
+directions of the correspondence live here, with the motions on points and
+on spinors.
 """
 
 from __future__ import annotations
@@ -311,10 +313,6 @@ def reduction_identities(a: SpinorCoords, b: Sequence[Rational]) -> ReductionRep
     return ReductionReport(tuple(pair), tuple(triple), tuple(condition))
 
 
-def _canonical_row_masks(n: int) -> tuple[int, ...]:
-    return (0,) + tuple(1 << (i - 1) for i in range(1, n + 1))
-
-
 def _validate_generator_geometry(g: PlaneGenerator) -> None:
     if not g.basis:
         raise ValueError("generator has an empty solution basis")
@@ -331,48 +329,60 @@ def _validate_generator_geometry(g: PlaneGenerator) -> None:
 def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
     """Representing spinor of a plane generator, unique up to scale.
 
-    When the stored equations are the canonical rows b, b^1..b^n with a
-    nonzero scalar coordinate, the coordinates a, a^i, a^{ij} are read off
-    the hyperplane rows and completed by the Pfaffian relations, which
-    recovers the representative exactly.  Otherwise (generators inside the
-    hyperplane x^0 = 0) the spinor is pinned by a rank solve: the joint
-    kernel of Xi(x) over the solution basis is one-dimensional, and its
-    primitive integer representative is returned.
+    One route: the pure spinor is Chevalley's product Xi(w_1)...Xi(w_n) e_M
+    over independent points w_i of the plane, for the first basis spinor e_M
+    in mask order that it does not kill.  Two representatives: when the
+    stored equations are the canonical rows b, b^1..b^n, the scalar
+    coordinate is nonzero and the rows are lambda times the product's, the
+    stored representative lambda * product is returned; otherwise (a zero
+    scalar coordinate, or other rows) the primitive integer representative,
+    after the plane is checked against the stored equations.
     """
     _validate_generator_geometry(g)
-    if g.row_masks == _canonical_row_masks(g.n):
-        candidate = _read_off_spinor(g)
-        if candidate is not None:
-            _verify_spinor_matches(candidate, g)
-            return candidate
-    return _rank_solve_spinor(g)
-
-
-def _read_off_spinor(g: PlaneGenerator) -> SpinorCoords | None:
-    """Coordinates a, a^i, a^{ij} named by the canonical rows, or None.
-
-    Entry (r, i) is (E_i a)[r]; E_i is a signed permutation, so the entry is
-    sign * a[j] for the one column j it sends to row r.  The canonical rows
-    name exactly the coordinates of grade <= 2, each at least three times;
-    a generator whose entries disagree on a coordinate is not read off.
-    """
     n = g.n
-    named: dict[int, Fraction] = {}
-    for r, row in zip(g.row_masks, g.equations):
-        for image, entry in zip(point_blade_images(n), row):
-            j = image.perm.index(r)
-            value = image.signs[j] * entry
-            if named.setdefault(j, value) != value:
-                return None
-    scalar = named[0]
-    if scalar == 0:
-        return None
-    vector = [named[1 << (i - 1)] for i in range(1, n + 1)]
-    skew = {pair: named[mask_from_indices(pair)] for pair in combinations(range(1, n + 1), 2)}
-    try:
-        return SpinorCoords.from_low_grade(n, scalar, vector, skew)
-    except ValueError:
-        return None
+    product = _pure_spinor(n, g.basis)
+    if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and product[0]:
+        rows = generator_rows(SpinorCoords(n, product))
+        scale = g.equations[0][0] / rows[0][0]
+        if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
+            spinor = SpinorCoords(n, [scale * v for v in product])
+            _verify_spinor_matches(spinor, g)
+            return spinor
+    spinor = SpinorCoords(n, _primitive(product))
+    if not spinor.satisfies_relations():
+        raise ValueError("plane is not a generator of the spinor family")
+    induced = independent_system(spinor)
+    if not linalg.same_row_space([list(r) for r in induced.equations], [list(r) for r in g.equations]):
+        raise ValueError("inconsistent system: plane differs from the spinor's generator")
+    return spinor
+
+
+def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
+    """Xi(w_1)...Xi(w_n) e_M in integers, over independent points w_i spanning
+    the basis, each scaled by the lcm of its denominators.
+
+    The Xi(w_i) anticommute and square to zero on a totally isotropic plane,
+    so every column of the product is killed by each of them; it is nonzero
+    exactly when the plane has dimension n, which pins the spinor ray.
+    """
+    points, pivots = linalg.rref(basis)
+    if len(pivots) == n:
+        factors = []
+        for point in reversed(points[:n]):
+            scale = math.lcm(*(v.denominator for v in point))
+            factors.append([(image, int(v * scale)) for image, v in zip(point_blade_images(n), point) if v])
+        for mask in range(1 << n):
+            vector = {mask: 1}
+            for factor in factors:
+                image_of: dict[int, int] = {}
+                for image, c in factor:
+                    for j, value in vector.items():
+                        r = image.perm[j]
+                        image_of[r] = image_of.get(r, 0) + image.signs[j] * c * value
+                vector = {r: value for r, value in image_of.items() if value}
+            if vector:
+                return [vector.get(r, 0) for r in range(1 << n)]
+    raise ValueError("plane does not determine a unique spinor ray")
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
@@ -382,25 +392,8 @@ def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
         support = [(i, v) for i, v in enumerate(point) if v]
         if any(sum(row[i] * v for i, v in support) for row in rows):
             raise InvariantViolation(
-                f"read-off spinor does not annihilate the generator point ({', '.join(map(str, point))})"
+                f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )
-
-
-def _rank_solve_spinor(g: PlaneGenerator) -> SpinorCoords:
-    n = g.n
-    stacked: list[list[Fraction]] = []
-    for point in g.basis:
-        stacked.extend(build_xi(list(point)).rows())
-    kernel = linalg.null_space(stacked)
-    if len(kernel) != 1:
-        raise ValueError("plane does not determine a unique spinor ray")
-    spinor = SpinorCoords(n, _primitive(kernel[0]))
-    if not spinor.satisfies_relations():
-        raise ValueError("plane is not a generator of the spinor family")
-    induced = independent_system(spinor)
-    if not linalg.same_row_space([list(r) for r in induced.equations], [list(r) for r in g.equations]):
-        raise ValueError("inconsistent system: plane differs from the spinor's generator")
-    return spinor
 
 
 def _primitive(vector: Sequence[Fraction]) -> list[Fraction]:

@@ -17,8 +17,8 @@ set I of size 2k >= 4,
 
 with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
-ones (:func:`reconstruct_from_low_grade`); the a = 0 case is handled on the
-geometry side by a rank-based solve.  Every Pfaffian is read from one table
+ones (:func:`reconstruct_from_low_grade`); on the geometry side the a = 0
+case comes from Chevalley's product instead.  Every Pfaffian is read from one table
 over index masks (:func:`pfaffians`), built in a single pass.
 
 Each element is verified once.  A :class:`SpinElement` is immutable and
@@ -160,7 +160,7 @@ def spin_norm(s: SpinElement) -> Fraction:
     return total
 
 
-def is_lipschitz(s: Multivector) -> bool:
+def is_lipschitz(s: Multivector, *, _norm_read: bool = False) -> bool:
     """True when s e_i s^-1 is pure grade 1 for every generator.
 
     A homogeneous s is decided without inverting or conjugating.  It is
@@ -173,7 +173,8 @@ def is_lipschitz(s: Multivector) -> bool:
 
     Raises ValueError when s is singular and obeys the relations, or is
     singular of mixed parity.  A singular homogeneous s that fails the
-    relations is not Lipschitz, and gives False.
+    relations is not Lipschitz, and gives False.  ``_norm_read`` says that
+    N(s) != 0 is known; N(t) = +-N(s), so it is not read again.
     """
     sig = s.signature
     if len({mask.bit_count() & 1 for mask in s.masks()}) == 1:
@@ -181,7 +182,7 @@ def is_lipschitz(s: Multivector) -> bool:
         t = SpinElement(s * Multivector.blade(sig, low) if low else s)
         if any(value for _, value in relation_residuals(t.value.coefficient, sig.dim)):
             return False
-        if spin_norm(t) == 0:
+        if not _norm_read and spin_norm(t) == 0:
             raise ValueError("multivector is not invertible")
         return True
     s.inverse()  # raises for zero or singular input
@@ -209,9 +210,11 @@ def _verified_norm(s: Union[SpinElement, Multivector]) -> Fraction | None:
             return None
         s = SpinElement(s)
     norm = spin_norm(s)
-    if norm not in (1, -1) or not s.lipschitz():
+    if norm not in (1, -1):
         return None
-    return norm
+    if s._lipschitz is None:
+        s._lipschitz = is_lipschitz(s.value, _norm_read=True)
+    return norm if s._lipschitz else None
 
 
 @dataclass(frozen=True)

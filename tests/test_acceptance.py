@@ -285,8 +285,8 @@ def test_criterion_6_two_valued_correspondence():
         for _ in range(200):
             a = random_relation_spinor(n, rng)
             recovered = generator_to_spinor(independent_system(a))
-            assert recovered == a  # read-off path recovers the representative
-    # hyperplane x0 = 0 representatives: zero scalar coordinate, rank fallback
+            assert recovered == a  # canonical rows with a nonzero scalar keep the stored scale
+    # a zero scalar coordinate gives the primitive representative of the product
     for n in (2, 3):
         rng = random.Random(660 + n)
         for _ in range(40):

@@ -1,6 +1,7 @@
 """CLI reports: determinism, golden files, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -235,9 +236,9 @@ def test_each_element_is_verified_once(monkeypatch, argv):
     is_lipschitz = spinorlab.spin.is_lipschitz
     inverse = Multivector.inverse
 
-    def counted_lipschitz(s):
+    def counted_lipschitz(s, **flags):
         counts["lipschitz"] += 1
-        return is_lipschitz(s)
+        return is_lipschitz(s, **flags)
 
     def counted_inverse(self):
         counts["inverse"] += 1
@@ -248,3 +249,48 @@ def test_each_element_is_verified_once(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
     assert counts == {"lipschitz": 1, "inverse": 0}
+
+
+# sha256 of stdout, recorded before generator_to_spinor became one product
+# route; nonzero and zero scalar coordinates at n = 1..4, every format and mode
+GENERATOR_DIGESTS = [
+    (["--n", "1", "--a=2,-3"], "0b40146cd6cbad9e39c9f7d42dd59c4ccdcde33be8b0b6dcee43e674304c9e7f"),
+    (["--n", "1", "--a", "0,5", "--format", "csv"], "8815d736284784462dcc74287cd308d00ac0264b43584f9b772d842fd930bd5e"),
+    (["--n", "2", "--a", "3,1,-2,1/2"], "eae1f15e9890b36a9f0d62c0a561e0454235b31385a1a7e9fbeb98b302cd1d60"),
+    (["--n", "2", "--a", "0,0,0,5", "--mode", "float"], "a4c6f54dc17585d5e181cc85e412ecae1ff7850c1fd7b5fc613360ffb58082a1"),
+    (["--n", "2", "--a", "0,2,-1,3", "--format", "pretty"], "6ad7f65d79cb43940a011fbbf7a0fd898b5dd55c19cf8dbf78d6381e64129a51"),
+    (["--n", "3", "--a", "2,1,0,-1,1,1/2,3"], "d571fe3b671162133227181cbbdb3b6ba0c5d9ed59832900e47846662b1d408b"),
+    (
+        ["--n", "3", "--a=-1/2,1,2,0,3,1,-1,6", "--format", "csv", "--mode", "float"],
+        "1251d31c889c3bffd3fedcbddc875d93969609fa7d641a8044c682a51363bc11",
+    ),
+    (
+        ["--n", "3", "--a", "0,1,0,2,0,3,0,0", "--format", "pretty"],
+        "f83f23da638a46c74b8a4a1e0799ff9a750154352469df4142c741d37ea5ebb3",
+    ),
+    (
+        ["--n", "3", "--a", "0,0,0,0,0,0,0,-2", "--mode", "float", "--format", "pretty"],
+        "0339be82b581e4822fa42b06dd1422cca2d6e362faa3009c5eae32238cad0f11",
+    ),
+    (["--n", "4", "--a", "3,1,-1,2,0,1/2,1,-2,1,0,3"], "9e698e497612a7a1548af81bddbb32e5d62bbccd9aa8e8706872ad29bd008657"),
+    (
+        ["--n", "4", "--a", "1,2,0,-1,1,1,0,3,2,-1,1", "--format", "pretty", "--mode", "float"],
+        "232eec6c6c7958bcf940fc953aa8611ac79a549a7b71cd721608b050fadef759",
+    ),
+    (
+        ["--n", "4", "--a", "0,1,2,0,3,0,0,0,4,0,0,0,0,0,0,0", "--format", "csv"],
+        "b7fc22dcd7bd1929d63cebeaccd3d06c70a2825bb15ce6a873fb530aa975d6ba",
+    ),
+    (
+        ["--n", "4", "--a=0,-1,0,-2,-1,1,2,0,1,-2,-2,0,-1,0,0,0", "--mode", "float"],
+        "dd1aaa7fc11892f998ac62ab1123cab8439c50cd4ebc79fda0c6ed809a970fb9",
+    ),
+]
+
+
+def test_generator_output_is_pinned():
+    for argv, digest in GENERATOR_DIGESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert spinorlab.cli.main(["generator", *argv]) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv

@@ -29,8 +29,8 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, _read_off_spinor, _verify_spinor_matches, generator_rows
-from spinorlab.matrices import MAX_RANK, build_xi
+from spinorlab.geometry import _primitive, _verify_spinor_matches, generator_rows
+from spinorlab.matrices import MAX_RANK, build_xi, generator_images
 
 
 def frac(values):
@@ -277,19 +277,27 @@ def test_roundtrip_exact_on_relation_spinors(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_read_off_rejects_any_changed_canonical_entry(n):
-    # every coordinate the canonical rows name is named at least three times,
-    # so one changed entry always leaves two readings that disagree
+    # a changed canonical entry never keeps the stored scale: the rows stop
+    # being a multiple of the product's.  The plane then has to match the
+    # stored equations, which holds only where the changed column is zero on
+    # every basis point, so the row space is unchanged
     rng = random.Random(950 + n)
     for _ in range(4):
-        g = independent_system(random_relation_spinor(n, rng))
+        a = random_relation_spinor(n, rng)
+        g = independent_system(a)
         assert g.row_masks == (0,) + tuple(1 << i for i in range(n))
-        assert _read_off_spinor(g) is not None
+        assert generator_to_spinor(g) == a
         for k, row in enumerate(g.equations):
             for i in range(len(row)):
                 for delta in (Fraction(1), Fraction(-1), Fraction(1, 2)):
                     changed = list(g.equations)
                     changed[k] = row[:i] + (row[i] + delta,) + row[i + 1 :]
-                    assert _read_off_spinor(replace(g, equations=tuple(changed))) is None
+                    changed_g = replace(g, equations=tuple(changed))
+                    if all(point[i] == 0 for point in g.basis):
+                        assert generator_to_spinor(changed_g).values == _primitive(a.values)
+                    else:
+                        with pytest.raises(ValueError):
+                            generator_to_spinor(changed_g)
 
 
 def test_read_off_check_names_the_point():
@@ -334,20 +342,90 @@ def test_generator_to_spinor_rejects_non_generators():
         generator_to_spinor(bogus)
 
 
+def cayley_plane(n, rng):
+    """Basis of the plane x^0 = 0, x^{2i} = sum_k O_ik x^{2k-1}, with O the
+    Cayley transform (I + S)^-1 (I - S) of a random rational skew S, its first
+    row negated so that det O = -1."""
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            skew[j][i] = -skew[i][j]
+    plus = [[Fraction(i == j) + skew[i][j] for j in range(n)] for i in range(n)]
+    columns = [linalg.solve_unique(plus, [Fraction(i == k) - skew[i][k] for i in range(n)]) for k in range(n)]
+    basis = []
+    for k, column in enumerate(columns):
+        x = [Fraction(0)] * (2 * n + 1)
+        x[2 * k + 1] = Fraction(1)
+        for i, value in enumerate(column):
+            x[2 * i + 2] = -value if i == 0 else value
+        basis.append(tuple(x))
+    return basis
+
+
+def stacked_kernel(basis):
+    """Joint kernel of the dense Xi(x) over the points: the oracle."""
+    stacked = []
+    for point in basis:
+        stacked.extend(build_xi(list(point)).rows())
+    return linalg.null_space(stacked)
+
+
 def test_no_third_representative():
     # the joint kernel of Xi(x) over a generator's points is one-dimensional:
-    # a generator pins its spinor ray with no room for a third representative
+    # a generator pins its spinor ray with no room for a third representative,
+    # and Chevalley's product finds that ray, for nonzero and zero scalars
     rng = random.Random(31)
-    for n in (2, 3):
-        for _ in range(5):
+    for n in range(1, 6):
+        for _ in range(4):
             a = random_relation_spinor(n, rng)
             g = independent_system(a)
-            stacked = []
-            for point in g.basis:
-                stacked.extend(build_xi(list(point)).rows())
-            kernel = linalg.null_space(stacked)
+            kernel = stacked_kernel(g.basis)
             assert len(kernel) == 1
             assert _primitive(kernel[0]) == _primitive(a.values)
+            assert _primitive(generator_to_spinor(g).values) == _primitive(kernel[0])
+        for _ in range(4):
+            basis = cayley_plane(n, rng)
+            assert all(quadratic_form(point) == 0 for point in basis)
+            kernel = stacked_kernel(basis)
+            assert len(kernel) == 1 and kernel[0][0] == 0
+            g = replace(independent_system(SpinorCoords(n, kernel[0])), basis=tuple(basis))
+            assert _primitive(generator_to_spinor(g).values) == _primitive(kernel[0])
+
+
+def dense_zero_scalar_spinor(n, rng):
+    """Image under e_1 of a dense relation spinor with a^1 = 0: e_1 maps
+    generators to generators and sends a^1 to the scalar coordinate."""
+    skew = {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    vector = [0] + [rng.randint(-3, 3) for _ in range(n - 1)]
+    b = SpinorCoords.from_low_grade(n, Fraction(rng.randint(1, 3), rng.randint(1, 2)), vector, skew)
+    return SpinorCoords(n, generator_images(n)[0].apply(b.values))
+
+
+def test_generator_to_spinor_at_max_rank_within_budget():
+    rng = random.Random(880)
+    spinors = [dense_zero_scalar_spinor(MAX_RANK, rng) for _ in range(3)]
+    generators = [independent_system(a) for a in spinors]
+    for a, g in zip(spinors, generators):
+        assert a.scalar_coord() == 0 and sum(1 for v in a.values if v) > 200
+        assert g.row_masks != (0,) + tuple(1 << i for i in range(MAX_RANK))
+    started = time.perf_counter()
+    recovered = [generator_to_spinor(g) for g in generators]
+    assert time.perf_counter() - started < 2.0
+    assert [r.values for r in recovered] == [_primitive(a.values) for a in spinors]
+
+
+def test_generator_to_spinor_rejects_partial_and_mismatched_planes():
+    rng = random.Random(890)
+    for n in (2, 3):
+        for a in (random_relation_spinor(n, rng), dense_zero_scalar_spinor(n, rng)):
+            g = independent_system(a)
+            for basis in (g.basis[1:], g.basis[:-1] + g.basis[:1]):
+                with pytest.raises(ValueError, match="unique spinor ray"):
+                    generator_to_spinor(replace(g, basis=basis))
+            other = independent_system(random_relation_spinor(n, rng))
+            with pytest.raises(ValueError, match="plane differs"):
+                generator_to_spinor(replace(other, basis=g.basis))
 
 
 def test_primitive_vector():

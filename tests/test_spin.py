@@ -274,6 +274,34 @@ def test_is_spin_cases():
     assert not is_spin(odd)
 
 
+def test_fresh_spin_verdict_reads_the_norm_once(monkeypatch):
+    import spinorlab.spin
+
+    calls = []
+    spin_norm_once = spinorlab.spin.spin_norm
+
+    def counted(s):
+        calls.append(s)
+        return spin_norm_once(s)
+
+    monkeypatch.setattr(spinorlab.spin, "spin_norm", counted)
+    sig = Signature(4, 0)
+    cases = [
+        ({0: Fraction(3, 5), 0b11: Fraction(4, 5)}, True),
+        ({0b11: Fraction(1)}, True),
+        ({0: Fraction(3, 5), 0b1111: Fraction(4, 5)}, False),  # N = 1, a relation fails
+        ({0: Fraction(2)}, False),
+    ]
+    for terms, verdict in cases:
+        element = SpinElement(Multivector(sig, terms))
+        calls.clear()
+        assert is_spin(element) is verdict
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert element.lipschitz() == is_lipschitz(element.value)
+        monkeypatch.setattr(spinorlab.spin, "spin_norm", counted)
+
+
 def test_norm_multiplicativity():
     sig = Signature(2, 2)
     for seed in range(6):
