@@ -18,8 +18,8 @@ set I of size 2k >= 4,
 with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
 ones (:func:`reconstruct_from_low_grade`); on the geometry side the a = 0
-case comes from Chevalley's product instead.  Every Pfaffian is read from one table
-over index masks (:func:`pfaffians`), built in a single pass.
+case comes from Chevalley's product instead.  Every Pfaffian is read from
+one table over index masks (:func:`pfaffians`), built in a single pass.
 
 Each element is verified once.  A :class:`SpinElement` is immutable and
 keeps only its Lipschitz verdict.  :func:`spin_norm` is the one computation
