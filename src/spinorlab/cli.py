@@ -30,7 +30,7 @@ from .geometry import (
     motion_on_spinors,
     normalize,
 )
-from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form, rep_even_element
+from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form, rep_multivector
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
@@ -221,8 +221,8 @@ def cmd_spin_check(args: argparse.Namespace) -> dict:
         "spin": relation_report.spin,
         "spin_plus": relation_report.spin_plus,
     }
+    spin = is_spin(element)  # keeps the Lipschitz verdict of a norm +-1 element
     lipschitz = element.lipschitz()
-    spin = is_spin(element)
     report.update(
         {
             "p": args.p,
@@ -263,7 +263,7 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         if quadratic_form(x) == 0 and any(x):
             kernel_x = kernel_spinors(x)
             kernel_y = kernel_spinors(y)
-            rep = rep_even_element(element, args.n)
+            rep = rep_multivector(element.value, args.n)
             mapped = [linalg.mat_vec(rep, vec.values) for vec in kernel_x]
             verdicts["kernel_equivariance"] = linalg.same_row_space(
                 mapped, [list(vec.values) for vec in kernel_y]

@@ -12,7 +12,8 @@ The representing spinor is determined by the generator up to scale, and up
 to sign once normalized: it is Chevalley's pure spinor, the product
 Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
 directions of the correspondence live here, with the motions on points and
-on spinors.
+on spinors.  A spin element moves a point by rotating (x^1..x^{2n}) in the
+algebra with x^0 fixed, and a spinor by its matrix image.
 """
 
 from __future__ import annotations
@@ -25,17 +26,10 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .blades import Rational, blade_indices, mask_from_indices
+from .blades import Multivector, Rational, blade_indices, mask_from_indices
 from .errors import InvariantViolation
-from .matrices import (
-    build_xi,
-    neutral_signature,
-    point_blade_images,
-    quadratic_form,
-    rep_even_element,
-    rep_multivector,
-)
-from .spin import SpinElement, _skew_table, completed_coords, is_spin_plus, relation_residuals
+from .matrices import build_xi, neutral_signature, point_blade_images, quadratic_form, rep_multivector
+from .spin import SpinElement, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
 Coords = Sequence[Rational]
 
@@ -345,9 +339,9 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
         rows = generator_rows(SpinorCoords(n, product))
         scale = g.equations[0][0] / rows[0][0]
         if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
-            spinor = SpinorCoords(n, [scale * v for v in product])
-            _verify_spinor_matches(spinor, g)
-            return spinor
+            # lambda * product vanishes on the plane exactly where the product does
+            _verify_spinor_matches(SpinorCoords(n, product), g)
+            return SpinorCoords(n, [scale * v for v in product])
     spinor = SpinorCoords(n, _primitive(product))
     if not spinor.satisfies_relations():
         raise ValueError("plane is not a generator of the spinor family")
@@ -438,11 +432,13 @@ def normalize(a: SpinorCoords) -> NormalizeResult:
 
 
 def motion_on_points(s: SpinElement, x: Coords) -> list[Fraction]:
-    """Act on a point: conjugate its matrix and read the image coordinates.
+    """Move a point: x^0 stays and (x^1..x^{2n}) turns as the vector s x s^-1.
 
-    Requires a reduced spin element of the interleaved (n,n) algebra;
-    conjugation preserves the quadratic form exactly and keeps the matrix
-    of point form (both are asserted).
+    Requires a reduced spin element of the interleaved (n,n) algebra.  There
+    E_i = e_i E_0, so the point element is x^0 E_0 + x E_0 with x the vector
+    (x^1..x^{2n}), and the volume element E_0 commutes with every even s:
+    conjugating the point rotates x (Lounesto, Clifford Algebras and Spinors,
+    2001).  The rotation asserts s x = y s and the quadratic form exactly.
     """
     n = _motion_rank(s)
     coords = [Fraction(v) for v in x]
@@ -450,16 +446,8 @@ def motion_on_points(s: SpinElement, x: Coords) -> list[Fraction]:
         raise ValueError(f"expected {2 * n + 1} coordinates, got {len(coords)}")
     if not is_spin_plus(s):
         raise ValueError("motions need a spin element of norm +1")
-    rep = rep_even_element(s, n)
-    # a verified element of norm +1 has s^-1 = reverse(s)
-    rep_inv = rep_multivector(s.value.reverse(), n)
-    conjugated = linalg.mat_mul(linalg.mat_mul(rep, build_xi(coords).rows()), rep_inv)
-    y = _extract_point_coords(n, conjugated)
-    if not linalg.mat_eq(build_xi(y).rows(), conjugated):
-        raise InvariantViolation("conjugate is not of point-matrix form")
-    if quadratic_form(y) != quadratic_form(coords):
-        raise InvariantViolation("motion changed the quadratic form")
-    return y
+    turned = _rotate(s.value, Multivector.vector(s.signature, coords[1:]), 1)
+    return [coords[0], *turned.vector_coords()]
 
 
 def _motion_rank(s: SpinElement) -> int:
@@ -469,20 +457,6 @@ def _motion_rank(s: SpinElement) -> int:
     return sig.p
 
 
-def _extract_point_coords(n: int, matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    sign_n = -1 if n % 2 else 1
-    y = [sign_n * matrix[0][0]]
-    half = Fraction(1, 2)
-    for level in range(1, n + 1):
-        h = 1 << (level - 1)
-        sgn = -1 if (n - level) % 2 else 1
-        c_plus = matrix[0][h]
-        c_minus = matrix[h][0]
-        y.append(sgn * (c_plus - c_minus) * half)
-        y.append(sgn * (c_plus + c_minus) * half)
-    return y
-
-
 def motion_on_spinors(s: SpinElement, a: SpinorCoords) -> SpinorCoords:
     """Act on a spinor by the matrix image of the spin element."""
     n = _motion_rank(s)
@@ -490,5 +464,4 @@ def motion_on_spinors(s: SpinElement, a: SpinorCoords) -> SpinorCoords:
         raise ValueError("spinor rank differs from the element's rank")
     if not is_spin_plus(s):
         raise ValueError("motions need a spin element of norm +1")
-    rep = rep_even_element(s, n)
-    return SpinorCoords(n, linalg.mat_vec(rep, a.values))
+    return SpinorCoords(n, linalg.mat_vec(rep_multivector(s.value, n), a.values))

@@ -21,40 +21,8 @@ def zeros(n_rows: int, n_cols: int) -> Matrix:
     return [[Fraction(0)] * n_cols for _ in range(n_rows)]
 
 
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Product with zero-skipping, useful for the sparse point matrices."""
-    n, k = len(a), len(b)
-    if any(len(row) != k for row in a):
-        raise ValueError("inner dimensions do not match")
-    m = len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        row_a = a[i]
-        row_out = out[i]
-        for t in range(k):
-            c = row_a[t]
-            if not c:
-                continue
-            row_b = b[t]
-            for j in range(m):
-                if row_b[j]:
-                    row_out[j] += c * row_b[j]
-    return out
-
-
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return [sum((c * v[j] for j, c in enumerate(row) if c), Fraction(0)) for row in a]
-
-
-def mat_eq(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
 
 
 def _primitive(row: list[int]) -> list[int]:

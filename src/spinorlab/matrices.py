@@ -40,7 +40,6 @@ from . import linalg
 from .blades import INTERLEAVED, Multivector, Rational, Signature, blade_indices
 from .errors import InvariantViolation
 from .poly import Poly
-from .spin import SpinElement
 
 MAX_RANK = 8
 
@@ -128,11 +127,6 @@ def rep_multivector(m: Multivector, n: int) -> linalg.Matrix:
     for mask, coeff in m.items():
         blade_image(n, mask).scale_add_into(out, coeff)
     return out
-
-
-def rep_even_element(s: SpinElement, n: int) -> linalg.Matrix:
-    """Multiplicative, unital matrix image of an even element."""
-    return rep_multivector(s.value, n)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,9 @@ Each element is verified once.  A :class:`SpinElement` is immutable and
 keeps only its Lipschitz verdict.  :func:`spin_norm` is the one computation
 of N(s); both of its routes read the element's own terms, since only a blade
 times itself reaches the scalar blade.  A verified element has
-s^-1 = reverse(s) / N(s), so no action inverts it.
+s^-1 = reverse(s) / N(s), so no action inverts it.  A rotation reads only the
+grade-1 coefficients of (s x) reverse(s) / N and checks s x = y s exactly;
+the point motions of the geometry module are these rotations.
 """
 
 from __future__ import annotations
@@ -410,7 +412,7 @@ def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = Fal
 
 
 def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
-    """Conjugate a vector by a spin element; preserves (x,x) exactly."""
+    """Rotate a vector by a spin element: s x s^-1, with (x,x) kept exactly."""
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
     if not x.is_grade(1):
@@ -418,9 +420,31 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
     norm = _verified_norm(s)
     if norm is None:
         raise ValueError("rotations need a spin element")
-    result = s.value * x * (s.value.reverse() / norm)
-    if not result.is_grade(1):
+    return _rotate(s.value, x, norm)
+
+
+def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
+    """The vector y = s x s^-1 for a verified spin element of norm N(s) = norm.
+
+    Only the grade-1 coefficients of (s x) reverse(s) / N are read: the e_i
+    coefficient pairs each term of s x with the term of reverse(s) whose
+    blade differs from it in e_i alone.  The exact identity s x = y s then
+    shows that the conjugate has no other grade.
+    """
+    sig = s.signature
+    sx = s * x
+    rev = dict(s.reverse().items())
+    coords = []
+    for i in range(sig.dim):
+        total = Fraction(0)
+        for mask, c in sx.items():
+            r = rev.get(mask ^ 1 << i)
+            if r:
+                total += c * r if blade_product(mask, mask ^ 1 << i, sig)[0] > 0 else -c * r
+        coords.append(total / norm)
+    y = Multivector.vector(sig, coords)
+    if y * s != sx:
         raise InvariantViolation("conjugation left the vector space")
-    if vector_norm(result) != vector_norm(x):
+    if vector_norm(y) != vector_norm(x):
         raise InvariantViolation("conjugation changed the quadratic form")
-    return result
+    return y

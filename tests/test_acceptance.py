@@ -28,13 +28,14 @@ from spinorlab import (
     neutral_signature,
     quadratic_form,
     random_spin_element,
-    rep_even_element,
     rep_multivector,
     spin_norm,
 )
 from spinorlab.atlas import factorization_class, karoubi_factorization, verify_even_subalgebra_map
 from spinorlab.geometry import _primitive, generator_rows
 from spinorlab.poly import Poly
+
+from dense import mat_eq, mat_mul
 
 
 def criterion(label):
@@ -341,7 +342,7 @@ def test_criterion_7_equivariance():
             x = random_absolute_point(n, rng)
             y = motion_on_points(s, x)
             assert quadratic_form(y) == quadratic_form(x) == 0
-            rep = rep_even_element(s, n)
+            rep = rep_multivector(s.value, n)
             mapped = [linalg.mat_vec(rep, vec.values) for vec in kernel_spinors(x)]
             target = [list(vec.values) for vec in kernel_spinors(y)]
             assert linalg.same_row_space(mapped, target)
@@ -395,8 +396,8 @@ def test_criterion_9_representation_multiplicative():
             s = _random_even(sig, even_masks, rng)
             t = _random_even(sig, even_masks, rng)
             left = rep_multivector(s * t, n)
-            right = linalg.mat_mul(rep_multivector(s, n), rep_multivector(t, n))
-            assert linalg.mat_eq(left, right)
+            right = mat_mul(rep_multivector(s, n), rep_multivector(t, n))
+            assert mat_eq(left, right)
             trials += 1
     assert trials == 500
 

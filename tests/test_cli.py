@@ -251,6 +251,30 @@ def test_each_element_is_verified_once(monkeypatch, argv):
     assert counts == {"lipschitz": 1, "inverse": 0}
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 3),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 2),
+    ],
+    ids=["spin_check", "motion_seeded"],
+)
+def test_norm_reads_per_command(monkeypatch, argv, reads):
+    # spin-check: check_relations, is_spin (which keeps the verdict) and
+    # is_spin_plus; motion: drawing the element and the motion's verdict
+    calls = []
+    spin_norm = spinorlab.spin.spin_norm
+
+    def counted(s):
+        calls.append(s)
+        return spin_norm(s)
+
+    monkeypatch.setattr(spinorlab.spin, "spin_norm", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert spinorlab.cli.main(argv) == 0
+    assert len(calls) == reads
+
+
 # sha256 of stdout, recorded before generator_to_spinor became one product
 # route; nonzero and zero scalar coordinates at n = 1..4, every format and mode
 GENERATOR_DIGESTS = [
@@ -293,4 +317,88 @@ def test_generator_output_is_pinned():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert spinorlab.cli.main(["generator", *argv]) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+# sha256 of stdout, recorded before point motions became vector rotations;
+# n = 1..4, --s and --seed (k = 1 and 2), absolute and generic points and
+# spinors, every format and mode
+MOTION_DIGESTS = [
+    (
+        ["--n", "1", "--s", "5/4 + 3/4*e12", "--x", "0,1,1"],
+        "096cfbc8c2b18f93ff35303013f0f4cdc72bf479c3cacd7f52deb14853534383",
+    ),
+    (
+        ["--n", "1", "--seed", "3", "--x", "1,1,0", "--format", "csv"],
+        "cf04ddda9391e34ed7ec3e1f3921dc57adf3560f4e8e77c366e710cdb81238c2",
+    ),
+    (
+        ["--n", "1", "--seed", "4", "--k", "2", "--a", "1,2", "--mode", "float"],
+        "291ebe216ac763401a7947653946a38d34c1adaf1f91b763d7cfecc49d57bd7b",
+    ),
+    (
+        ["--n", "1", "--s", "5/4 + 3/4*e12", "--x", "2,-1,1/2", "--format", "pretty"],
+        "21626da7618fe996dd1f93dd486f136bd3238ec3dadefdf5bd3e9155d52769fa",
+    ),
+    (
+        ["--n", "2", "--s", "3/5 + 4/5*e13", "--x", "0,1,1,0,0", "--format", "pretty"],
+        "cd516f1d02423e38143c49866471313c6e8066e31608808809b726e38343febf",
+    ),
+    (
+        ["--n", "2", "--seed", "7", "--k", "2", "--x", "1,1,0,2,2", "--mode", "float", "--format", "csv"],
+        "59c5118a3bff3eefb306455da01ff38c7f536fa0f229e5c5c2210074384325f5",
+    ),
+    (["--n", "2", "--seed", "2", "--a", "1,0,0,3"], "1f0f9b5b848be2320f68a8d9d38a86d3a0912ec2ebc03a1d1313614c09553c06"),
+    (
+        ["--n", "2", "--s", "5/4 + 3/4*e12", "--a", "1,2,-1,1/2", "--format", "pretty", "--mode", "float"],
+        "74e7b3aaefbf7d02f818bbb1090f4431a7e5f872f48f5f8298a0cece6f1ac0a9",
+    ),
+    (
+        ["--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"],
+        "2976e6c02689398c88374f167175bac4a441b9c440998cd57619c52ddc597aa7",
+    ),
+    (
+        ["--n", "3", "--seed", "1", "--k", "2", "--x", "3,1,-2,2,1,3,1", "--format", "csv"],
+        "752677ef6770250f4baabf746f09e394491a762c4a02c7e70c7fa183df030ed2",
+    ),
+    (
+        ["--n", "3", "--seed", "8", "--k", "2", "--x", "1,0,0,1,0,0,0", "--format", "pretty", "--mode", "float"],
+        "6bf409c59d9dc9f41206cc787123b16c70e131330c060274372f40a208556425",
+    ),
+    (
+        ["--n", "3", "--s", "3/5 + 4/5*e24", "--a", "1,1,0,2,0,1,1"],
+        "60ddb45f6e5c6630c201cc3ee4b3bd9439690b8127d57634e81d69b380b08a51",
+    ),
+    (
+        ["--n", "3", "--seed", "9", "--k", "2", "--a", "1,0,0,0,0,0,0,0", "--format", "csv", "--mode", "float"],
+        "406ead3b4f6ba714e55bd057df580498c6387ca75469386a51089d3ba9c120df",
+    ),
+    (
+        ["--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"],
+        "299e75e5a8e36d2a7fe750e0a686ff8f3d8f3847877d0b90ede74ac2802b73cb",
+    ),
+    (
+        ["--n", "4", "--seed", "6", "--k", "2", "--x", "1,1,0,0,0,3,3,-1,1", "--mode", "float", "--format", "pretty"],
+        "91ebea8781454b864cf12e3c11aedbed46fe53504b10594be034c2c20012f175",
+    ),
+    (
+        ["--n", "4", "--s", "3/5 + 4/5*e57", "--x", "1,2,0,1/2,-1,0,3,1,1", "--format", "csv"],
+        "717ee69d37764fcb2043446d43024de79dc755b32be5704efaec3f1a13f1ca79",
+    ),
+    (
+        ["--n", "4", "--seed", "2", "--a", "2,1,0,-1,1,1,0,1,2,-1,1/2", "--format", "pretty"],
+        "13de85959947fdb119d32a91247936d968378ed46be49e2868484a8ef495bec1",
+    ),
+    (
+        ["--n", "4", "--s", "5/4 + 3/4*e78", "--a", "1,0,2,0,0,1,0,3,0,0,1,0,2,0,0,1"],
+        "73d7d15c114a7e60e266079d20aa0c38e32844e8aebb569f20c96ad715447ab5",
+    ),
+]
+
+
+def test_motion_output_is_pinned():
+    for argv, digest in MOTION_DIGESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert spinorlab.cli.main(["motion", *argv]) == 0, argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv

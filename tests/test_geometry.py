@@ -30,7 +30,9 @@ from spinorlab import (
     reduction_identities,
 )
 from spinorlab.geometry import _primitive, _verify_spinor_matches, generator_rows
-from spinorlab.matrices import MAX_RANK, build_xi, generator_images
+from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
+
+from dense import mat_eq, mat_mul
 
 
 def frac(values):
@@ -491,12 +493,64 @@ def test_motion_preserves_form_and_matches_vector_rotation(n):
         assert y[1:] == rotated.vector_coords()
 
 
+def dense_point_motion(s, x):
+    """rep(s) Xi(x) rep(reverse(s)), read back as a point and checked to be
+    of point-matrix form: the conjugation by dense matrices that
+    motion_on_points replaced, kept as its oracle (norm +1 elements only)."""
+    n = s.signature.p
+    rep = rep_multivector(s.value, n)
+    rep_inv = rep_multivector(s.value.reverse(), n)
+    conjugated = mat_mul(mat_mul(rep, build_xi(x).rows()), rep_inv)
+    y = extract_point_coords(n, conjugated)
+    assert mat_eq(build_xi(y).rows(), conjugated)
+    return y
+
+
+def extract_point_coords(n, matrix):
+    sign_n = -1 if n % 2 else 1
+    y = [sign_n * matrix[0][0]]
+    half = Fraction(1, 2)
+    for level in range(1, n + 1):
+        h = 1 << (level - 1)
+        sgn = -1 if (n - level) % 2 else 1
+        c_plus = matrix[0][h]
+        c_minus = matrix[h][0]
+        y.append(sgn * (c_plus - c_minus) * half)
+        y.append(sgn * (c_plus + c_minus) * half)
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_motion_on_points_matches_dense_conjugation(n):
+    sig = neutral_signature(n)
+    rng = random.Random(600 + n)
+    for k in (1, 2, 3):
+        s = random_spin_element(sig, 40 * n + k, k, norm_plus=True)
+        generic = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2 * n + 1)]
+        sparse = [Fraction(rng.choice((0, 0, rng.randint(-3, 3)))) for _ in range(2 * n + 1)]
+        axis = [Fraction(0)] * (2 * n + 1)
+        axis[rng.randrange(2 * n + 1)] = Fraction(1)
+        for x in (random_absolute_point(n, rng), generic, sparse, axis, [0, 1, 1] + [0] * (2 * n - 2)):
+            assert motion_on_points(s, x) == dense_point_motion(s, x)
+
+
+def test_motion_on_points_at_max_rank_within_budget():
+    sig = neutral_signature(MAX_RANK)
+    rng = random.Random(888)
+    elements = [random_spin_element(sig, seed, k=1, norm_plus=True) for seed in range(3)]
+    points = [random_absolute_point(MAX_RANK, rng) for _ in elements]
+    started = time.perf_counter()
+    moved = [motion_on_points(s, x) for s, x in zip(elements, points)]
+    assert time.perf_counter() - started < 2.0
+    for s, x, y in zip(elements, points, moved):
+        assert quadratic_form(y) == 0 and y[0] == x[0]
+        assert y[1:] == apply_rotation(s, Multivector.vector(sig, x[1:])).vector_coords()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_motion_kernel_equivariance(n):
     rng = random.Random(80 + n)
     sig = neutral_signature(n)
-    from spinorlab import rep_even_element
-
     for seed in range(5):
         s = random_spin_element(sig, seed, k=2, norm_plus=True)
         x = random_absolute_point(n, rng)
@@ -504,7 +558,7 @@ def test_motion_kernel_equivariance(n):
         assert quadratic_form(y) == 0
         kernel_x = kernel_spinors(x)
         kernel_y = kernel_spinors(y)
-        rep = rep_even_element(s, n)
+        rep = rep_multivector(s.value, n)
         mapped = [linalg.mat_vec(rep, vec.values) for vec in kernel_x]
         target = [list(vec.values) for vec in kernel_y]
         assert linalg.same_row_space(mapped, target)

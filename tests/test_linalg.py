@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from spinorlab import linalg
 
+from dense import identity, mat_eq, mat_mul
+
 
 def frac_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
@@ -54,14 +56,14 @@ def test_det():
     rng = random.Random(3)
     a = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
     b = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
-    assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
+    assert linalg.det(mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
 def test_mat_mul_identity():
     rng = random.Random(5)
     a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(5)] for _ in range(5)]
-    assert linalg.mat_eq(linalg.mat_mul(a, linalg.identity(5)), a)
-    assert linalg.mat_eq(linalg.mat_mul(linalg.identity(5), a), a)
+    assert mat_eq(mat_mul(a, identity(5)), a)
+    assert mat_eq(mat_mul(identity(5), a), a)
 
 
 def test_same_row_space():

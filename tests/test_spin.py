@@ -428,6 +428,30 @@ def test_apply_rotation_preserves_form():
         assert (y * y).scalar_part() == (x * x).scalar_part()
 
 
+@pytest.mark.parametrize(
+    "sig",
+    [Signature(3, 0), Signature(2, 1), Signature(1, 3), Signature(0, 4), Signature(3, 3, INTERLEAVED), Signature(5, 3)],
+    ids=str,
+)
+def test_apply_rotation_matches_full_conjugation(sig):
+    """The grade-1 read-off against the whole triple product s x reverse(s) / N,
+    formed only here, on products of unit vectors of both norms."""
+    rng = random.Random(sig.p * 10 + sig.q)
+    available = [sign for sign, count in ((1, sig.p), (-1, sig.q)) if count]
+    patterns = [(1, -1), (1, 1), (-1, -1), (1, -1, -1, -1), (1, 1, 1, -1, 1, 1)]
+    norms = set()
+    for pattern in patterns:
+        if not set(pattern) <= set(available):
+            continue
+        s = spin_from_vectors([random_unit_vector(sig, rng, sign) for sign in pattern])
+        norm = spin_norm(s)
+        norms.add(norm)
+        for _ in range(3):
+            x = Multivector.vector(sig, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(sig.dim)])
+            assert apply_rotation(s, x) == s.value * x * (s.value.reverse() / norm)
+    assert norms == ({1, -1} if len(available) == 2 else {1})
+
+
 def test_spin_element_value_cannot_be_reassigned():
     s = SpinElement(Multivector.scalar(CL20, 1))
     assert is_spin(s)
