@@ -339,9 +339,9 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
         rows = generator_rows(SpinorCoords(n, product))
         scale = g.equations[0][0] / rows[0][0]
         if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
-            # lambda * product vanishes on the plane exactly where the product does
-            _verify_spinor_matches(SpinorCoords(n, product), g)
-            return SpinorCoords(n, [scale * v for v in product])
+            spinor = SpinorCoords(n, [scale * v for v in product])
+            _verify_spinor_matches(spinor, g)
+            return spinor
     spinor = SpinorCoords(n, _primitive(product))
     if not spinor.satisfies_relations():
         raise ValueError("plane is not a generator of the spinor family")
@@ -363,8 +363,7 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
     if len(pivots) == n:
         factors = []
         for point in reversed(points[:n]):
-            scale = math.lcm(*(v.denominator for v in point))
-            factors.append([(image, int(v * scale)) for image, v in zip(point_blade_images(n), point) if v])
+            factors.append([(image, v) for image, v in zip(point_blade_images(n), _cleared(point)) if v])
         for mask in range(1 << n):
             vector = {mask: 1}
             for factor in factors:
@@ -380,20 +379,30 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
-    # Xi(x) a = 0 exactly when every generator row of a vanishes at x
-    rows = generator_rows(a)
+    # Xi(x) a = sum_i x^i E_i a, evaluated in integers on multiples of x and a
+    values = _cleared(a.values)
     for point in g.basis:
-        support = [(i, v) for i, v in enumerate(point) if v]
-        if any(sum(row[i] * v for i, v in support) for row in rows):
+        image = [0] * len(values)
+        for e, x in zip(point_blade_images(a.n), _cleared(point)):
+            if x:
+                for j, c in enumerate(values):
+                    if c:
+                        image[e.perm[j]] += e.signs[j] * x * c
+        if any(image):
             raise InvariantViolation(
                 f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )
 
 
+def _cleared(vector: Sequence[Fraction]) -> list[int]:
+    """The vector times the lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in vector))
+    return [v.numerator * (scale // v.denominator) for v in vector]
+
+
 def _primitive(vector: Sequence[Fraction]) -> list[Fraction]:
     """Clear denominators, divide by the gcd, make the first nonzero positive."""
-    denominator = math.lcm(*(v.denominator for v in vector)) if vector else 1
-    ints = [int(v * denominator) for v in vector]
+    ints = _cleared(vector)
     g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]

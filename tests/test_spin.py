@@ -28,7 +28,7 @@ from spinorlab import (
 from spinorlab import linalg
 from spinorlab.blades import MAX_DIM, blade_product
 from spinorlab.errors import InvariantViolation
-from spinorlab.spin import pfaffians, random_unit_vector, vector_norm
+from spinorlab.spin import _rotate, pfaffians, random_unit_vector, vector_norm
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -450,6 +450,16 @@ def test_apply_rotation_matches_full_conjugation(sig):
             x = Multivector.vector(sig, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(sig.dim)])
             assert apply_rotation(s, x) == s.value * x * (s.value.reverse() / norm)
     assert norms == ({1, -1} if len(available) == 2 else {1})
+
+
+def test_rotation_checks_the_conjugate_is_a_vector():
+    # N(s) = 1, but the four-index relation fails: reverse(s) is no inverse
+    # and the grade-1 read-off y misses s x = y s
+    sig = Signature(4, 0)
+    s = Multivector(sig, {0: Fraction(3, 5), 0b1111: Fraction(4, 5)})
+    assert spin_norm(SpinElement(s)) == 1
+    with pytest.raises(InvariantViolation, match="left the vector space"):
+        _rotate(s, Multivector.generator(sig, 1), 1)
 
 
 def test_spin_element_value_cannot_be_reassigned():
