@@ -361,34 +361,32 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
     """
     points, pivots = linalg.rref(basis)
     if len(pivots) == n:
-        factors = []
-        for point in reversed(points[:n]):
-            factors.append([(image, v) for image, v in zip(point_blade_images(n), _cleared(point)) if v])
         for mask in range(1 << n):
             vector = {mask: 1}
-            for factor in factors:
-                image_of: dict[int, int] = {}
-                for image, c in factor:
-                    for j, value in vector.items():
-                        r = image.perm[j]
-                        image_of[r] = image_of.get(r, 0) + image.signs[j] * c * value
-                vector = {r: value for r, value in image_of.items() if value}
+            for point in reversed(points[:n]):
+                vector = _xi_apply(point, vector)
             if vector:
                 return [vector.get(r, 0) for r in range(1 << n)]
     raise ValueError("plane does not determine a unique spinor ray")
 
 
+def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
+    """Xi(x) v = sum_i x^i E_i v in integers, for a sparse integer v and the
+    point x scaled by the lcm of its denominators; zero entries are dropped."""
+    out: dict[int, int] = {}
+    for image, c in zip(point_blade_images(len(point) // 2), _cleared(point)):
+        if c:
+            for j, value in vector.items():
+                r = image.perm[j]
+                out[r] = out.get(r, 0) + image.signs[j] * c * value
+    return {r: value for r, value in out.items() if value}
+
+
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
-    # Xi(x) a = sum_i x^i E_i a, evaluated in integers on multiples of x and a
-    values = _cleared(a.values)
+    # Xi(x) a = 0 exactly when it holds for integer multiples of x and a
+    values = {j: c for j, c in enumerate(_cleared(a.values)) if c}
     for point in g.basis:
-        image = [0] * len(values)
-        for e, x in zip(point_blade_images(a.n), _cleared(point)):
-            if x:
-                for j, c in enumerate(values):
-                    if c:
-                        image[e.perm[j]] += e.signs[j] * x * c
-        if any(image):
+        if _xi_apply(point, values):
             raise InvariantViolation(
                 f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )
