@@ -376,20 +376,16 @@ class Multivector:
 
     # -- JSON form -------------------------------------------------------------
 
-    def to_json_terms(self) -> list[dict[str, int]]:
-        """List of ``{"mask", "num", "den"}`` records sorted by mask."""
-        return [
-            {"mask": mask, "num": self._terms[mask].numerator, "den": self._terms[mask].denominator}
-            for mask in sorted(self._terms)
-        ]
+    def to_json_terms(self) -> list[dict]:
+        """List of ``{"mask", "value"}`` records sorted by mask; values are exact rationals."""
+        return [{"mask": mask, "value": self._terms[mask]} for mask in sorted(self._terms)]
 
     @classmethod
-    def from_json_terms(cls, sig: Signature, records: Iterable[Mapping[str, int]]) -> "Multivector":
+    def from_json_terms(cls, sig: Signature, records: Iterable[Mapping[str, Rational]]) -> "Multivector":
         out: dict[int, Fraction] = {}
         for rec in records:
             mask = int(rec["mask"])
-            coeff = Fraction(int(rec["num"]), int(rec["den"]))
-            out[mask] = out.get(mask, Fraction(0)) + coeff
+            out[mask] = out.get(mask, Fraction(0)) + Fraction(rec["value"])
         return cls(sig, out)
 
 

@@ -48,7 +48,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     verdicts = report.get("verdicts", {})
@@ -140,18 +144,15 @@ def cmd_classify(args: argparse.Namespace) -> dict:
 def cmd_xi(args: argparse.Namespace) -> dict:
     symbolic = build_xi_symbolic(args.n)
     symbolic.verify_square_identity()
-    report: dict = {"n": args.n, "verdicts": {"square_identity": True}}
     if args.x is None:
-        report["symbolic"] = True
-        report["rows"] = symbolic.token_rows()
+        report = symbolic.to_json()
     else:
         x = _parse_coords(args.x, 2 * args.n + 1)
         evaluated = build_xi(x)
         evaluated.verify_square_identity(x)
-        report["symbolic"] = False
-        report["x"] = list(x)
-        report["form_value"] = quadratic_form(x)
-        report["rows"] = [list(row) for row in evaluated.entries]
+        report = evaluated.to_json()
+        report.update(x=x, form_value=quadratic_form(x))
+    report.update(symbolic=args.x is None, verdicts={"square_identity": True})
     return report
 
 
@@ -168,7 +169,7 @@ def cmd_kernel(args: argparse.Namespace) -> dict:
         "x": list(x),
         "form_value": form_value,
         "kernel_dimension": len(basis),
-        "basis": [vec.to_named() for vec in basis],
+        "basis": [vec.to_json() for vec in basis],
         "verdicts": {
             "point_on_absolute": form_value == 0,
             "dimension_is_2_pow_n_minus_1": len(basis) == 1 << (args.n - 1),
@@ -181,46 +182,27 @@ def cmd_generator(args: argparse.Namespace) -> dict:
     spinor = _parse_spinor(args.n, args.a)
     generator = independent_system(spinor)
     recovered = generator_to_spinor(generator)
-    parallel = _parallel(recovered.values, spinor.values)
-    norm_info = normalize(spinor)
-    report = {
+    return {
         "n": args.n,
-        "spinor": spinor.to_named(),
-        "generator": {
-            "n": generator.n,
-            "equations": [list(row) for row in generator.equations],
-            "basis": [list(row) for row in generator.basis],
-        },
+        "spinor": spinor.to_json(),
+        "generator": generator.to_json(),
         "row_masks": list(generator.row_masks),
-        "recovered_spinor": recovered.to_named(),
-        "normalization": {
-            "scale_sq": norm_info.scale_sq,
-            "exact": norm_info.exact,
-            "spinor": norm_info.spinor.to_named(),
-        },
+        "recovered_spinor": recovered.to_json(),
+        "normalization": normalize(spinor).to_json(),
         "verdicts": {
             "relations_hold": spinor.satisfies_relations(),
             "projective_dimension_n_minus_1": generator.projective_dimension == args.n - 1,
             "basis_inside_absolute": all(quadratic_form(b) == 0 for b in generator.basis),
-            "roundtrip_recovers_ray": parallel,
+            "roundtrip_recovers_ray": _parallel(recovered.values, spinor.values),
         },
     }
-    return report
 
 
 def cmd_spin_check(args: argparse.Namespace) -> dict:
     sig = Signature(args.p, args.q, args.ordering)
     element = SpinElement(Multivector.from_text(sig, args.s))
     relation_report = check_relations(element)
-    report: dict = {
-        "norm": relation_report.norm,
-        "residuals": [
-            {"indices": list(indices), "value": res}
-            for indices, res in relation_report.residuals
-        ],
-        "spin": relation_report.spin,
-        "spin_plus": relation_report.spin_plus,
-    }
+    report = relation_report.to_json()
     spin = is_spin(element)  # keeps the Lipschitz verdict of a norm +-1 element
     lipschitz = element.lipschitz()
     report.update(
@@ -232,7 +214,7 @@ def cmd_spin_check(args: argparse.Namespace) -> dict:
             "lipschitz": lipschitz,
             "is_spin": spin,
             "is_spin_plus": is_spin_plus(element),
-            "verdicts": {"predicates_consistent": spin == (lipschitz and report["spin"])},
+            "verdicts": {"predicates_consistent": spin == (lipschitz and relation_report.spin)},
         }
     )
     return report
@@ -271,8 +253,8 @@ def cmd_motion(args: argparse.Namespace) -> dict:
     else:
         spinor = _parse_spinor(args.n, args.a)
         moved = motion_on_spinors(element, spinor)
-        report["a"] = spinor.to_named()
-        report["a_moved"] = moved.to_named()
+        report["a"] = spinor.to_json()
+        report["a_moved"] = moved.to_json()
         if spinor.satisfies_relations():
             verdicts["image_satisfies_relations"] = moved.satisfies_relations()
     report["verdicts"] = verdicts
@@ -312,13 +294,7 @@ def _parse_spinor(n: int, text: str) -> SpinorCoords:
 
 
 def _parallel(u: list[Fraction], v: list[Fraction]) -> bool:
-    if all(x == 0 for x in u) or all(x == 0 for x in v):
-        return False
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+    return any(u) and any(v) and linalg.rank([u, v]) == 1
 
 
 # -- rendering --------------------------------------------------------------------
@@ -338,6 +314,7 @@ def _render(report: dict, args: argparse.Namespace) -> str:
 
 
 def _convert(value, mode: str, tol: float):
+    """Turn the exact leaves of a report into text, or floats in float mode."""
     if isinstance(value, Fraction):
         if mode == "float":
             try:

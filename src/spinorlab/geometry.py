@@ -119,12 +119,9 @@ class SpinorCoords:
     def coordinate_name(mask: int) -> str:
         return "a" + "".join(str(i) for i in blade_indices(mask))
 
-    def to_named(self) -> dict[str, Fraction]:
-        """Coordinates keyed by name, as exact rationals."""
-        return {self.coordinate_name(mask): self.values[mask] for mask in range(1 << self.n)}
-
-    def to_json(self) -> dict:
-        return {self.coordinate_name(mask): str(self.values[mask]) for mask in range(1 << self.n)}
+    def to_json(self) -> dict[str, Fraction]:
+        """Coordinates keyed by name; the leaves are exact rationals."""
+        return {self.coordinate_name(mask): value for mask, value in enumerate(self.values)}
 
     @classmethod
     def from_json(cls, n: int, payload: Mapping[str, object]) -> "SpinorCoords":
@@ -199,10 +196,11 @@ class PlaneGenerator:
         )
 
     def to_json(self) -> dict:
+        """Equations and basis as rows whose leaves are exact rationals."""
         return {
             "n": self.n,
-            "equations": [[str(c) for c in row] for row in self.equations],
-            "basis": [[str(c) for c in row] for row in self.basis],
+            "equations": [list(row) for row in self.equations],
+            "basis": [list(row) for row in self.basis],
         }
 
 
@@ -423,6 +421,10 @@ class NormalizeResult:
     spinor: SpinorCoords
     scale_sq: Fraction
     exact: bool
+
+    def to_json(self) -> dict:
+        """The square-sum, the exactness flag and the spinor, with exact leaves."""
+        return {"scale_sq": self.scale_sq, "exact": self.exact, "spinor": self.spinor.to_json()}
 
 
 def normalize(a: SpinorCoords) -> NormalizeResult:

@@ -203,15 +203,8 @@ class XiMatrix:
         return [[_entry_token(entry) for entry in row] for row in self.entries]
 
     def to_json(self) -> dict:
-        if self.symbolic:
-            return {"n": self.n, "rows": self.token_rows()}
-        return {
-            "n": self.n,
-            "rows": [
-                [{"num": value.numerator, "den": value.denominator} for value in row]
-                for row in self.entries
-            ],
-        }
+        """Token rows when symbolic, otherwise rows whose leaves are exact rationals."""
+        return {"n": self.n, "rows": self.token_rows() if self.symbolic else self.rows()}
 
 
 def _check_coords(n: int, x: Sequence[Rational]) -> list[Fraction]:

@@ -233,10 +233,11 @@ class RelationReport:
         return all(value == 0 for _, value in self.residuals)
 
     def to_json(self) -> dict:
+        """Norm, residuals and verdicts; the numeric leaves are exact rationals."""
         return {
-            "norm": str(self.norm),
+            "norm": self.norm,
             "residuals": [
-                {"indices": list(indices), "value": str(value)} for indices, value in self.residuals
+                {"indices": list(indices), "value": value} for indices, value in self.residuals
             ],
             "spin": self.spin,
             "spin_plus": self.spin_plus,

@@ -7,13 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import spinorlab.cli
 import spinorlab.spin
-from spinorlab import Multivector
+from spinorlab import Multivector, Signature, SpinElement, build_xi, build_xi_symbolic, check_relations
+from spinorlab.geometry import SpinorCoords, independent_system, normalize
 
 GOLDEN_DIR = Path(os.environ.get("SPINORLAB_GOLDEN_DIR", Path(__file__).parent / "golden"))
 
@@ -213,8 +215,10 @@ def test_bad_input_exit_codes():
     [
         ("xi", "--n", "1", "--x", "1e400,0,0", "--mode", "float"),
         ("kernel", "--n", "9", "--x", ",".join(["0", "1", "1"] + ["0"] * 16)),
+        ("classify", "--p", "1", "--q", "1", "--out", "missing-directory/report.json"),
+        ("classify", "--p", "1", "--q", "1", "--out", "."),
     ],
-    ids=["float_overflow", "rank_above_max"],
+    ids=["float_overflow", "rank_above_max", "out_in_missing_directory", "out_is_a_directory"],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(args):
     result = run_cli(*args, expect=1)
@@ -402,3 +406,201 @@ def test_motion_output_is_pinned():
         with contextlib.redirect_stdout(out):
             assert spinorlab.cli.main(["motion", *argv]) == 0, argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+# sha256 of stdout, recorded before the library records took over the report
+# shapes; n = 1..4 (dims 1..8 for classify and spin-check), symbolic and
+# evaluated Xi, every format and mode
+REPORT_DIGESTS = {
+    "classify": [
+        (["--p", "1", "--q", "0"], "10c5d00819149d1f6ef8a6bf37ccb3b272c33a41d5c7d3180e3356d41ac2441d"),
+        (
+            ["--p", "0", "--q", "2", "--format", "csv"],
+            "6015cc715d47d3a8ab50e035a64f1b0f155340b3ddf8be4830a17baf187f8b49",
+        ),
+        (
+            ["--p", "3", "--q", "1", "--format", "pretty", "--mode", "float"],
+            "b3fb01c340dcfcc38bb81ca783e4264284e9824de08281499087bed8212f3e16",
+        ),
+        (["--p", "4", "--q", "4"], "dbeed803b7f5db61500bd0f3a8dec5c8632639776c583910ffc35e1a59c09b6b"),
+        (
+            ["--p", "1", "--q", "4", "--format", "csv", "--mode", "float"],
+            "8fa95d020b447ba2b847002d91cbd1bb07a8d54f15fc84998cdbaa42bf1daaf0",
+        ),
+        (
+            ["--p", "2", "--q", "5", "--format", "pretty"],
+            "05a925234ef7a5acaa736377d9bc2a279d20aa67cafd7e70397b4b4305c79320",
+        ),
+    ],
+    "xi": [
+        (["--n", "1", "--format", "csv"], "7040b01a9abe06a98bed659e1f3366256e39228251486cc343b5d58d05660049"),
+        (["--n", "2", "--format", "pretty"], "dbe5068bdcd731116dd9a5271d2e048c1e9e9f9a6d94bcc1b0f67183c0135b12"),
+        (["--n", "3", "--mode", "float"], "bb49e196c612230bfee02a1037a52f95b71c336d62f97c3a27e9716272a5052f"),
+        (["--n", "4"], "6fe1cd3b4e086adf8366a6309572e8dc9ee054f310732fd11181be1d2101cee7"),
+        (
+            ["--n", "1", "--x", "1/2,0,0", "--mode", "float"],
+            "839e6212da6bb9c823b74a55e716ab6240acd8a05f54726fca74e2b35fb5d2dc",
+        ),
+        (
+            ["--n", "1", "--x", "2,-1,1/3", "--format", "pretty"],
+            "c82fdf86b582587eaf5f831a94da74c89f39455b69d224b2348c38e0bd1b3cf5",
+        ),
+        (
+            ["--n", "2", "--x", "0,1,1,0,0", "--format", "csv"],
+            "078b69f0e375ffc79c5015fcc22fa421b12856fd3687b06529f23f8d200f27f2",
+        ),
+        (["--n", "2", "--x", "1,2,-1/2,3,0"], "db51a3d5875170db4c95d98ea1b6bb1ddaae39333dce670b904536886eb82e04"),
+        (
+            ["--n", "3", "--x", "1,2,-1/3,0,1,1,0", "--format", "pretty", "--mode", "float"],
+            "d27ceeef0452d1364d34d876094143e90c09a690a0bcbbf4e15e1df611b4e9d0",
+        ),
+        (
+            ["--n", "3", "--x", "0,1,1,0,0,0,0", "--format", "csv", "--mode", "float"],
+            "40f9b4d3752039dacd684587bfbcd4cd8ea5935d8ab8dafffc6f82b76025ed61",
+        ),
+        (
+            ["--n", "4", "--x", "3,1,-2,2,1,3,1,0,1/2"],
+            "e5fe8cb680ad43bd04654416b4481960fdb8aeaabffb055d2925c4f74230096d",
+        ),
+        (
+            ["--n", "4", "--x", "1,1,0,0,0,3,3,-1,1", "--format", "csv"],
+            "0f8a834c31cafcacfc249d832a255af46f708373576b1e49e05a1996db72cc16",
+        ),
+    ],
+    "kernel": [
+        (["--n", "1", "--x", "0,1,1"], "5d71f63715a52d5600c641b9dc77cf3725c3a59c55fc3bc29baaa889548b57db"),
+        (
+            ["--n", "1", "--x", "1,1,0", "--format", "csv", "--mode", "float"],
+            "a5cd3759d3ec5625a5d207a46034f62a5ad29039491494c66396b119802f4b31",
+        ),
+        (
+            ["--n", "2", "--x", "0,1,1,0,0", "--format", "pretty"],
+            "63f8605248805394eb27824d43f0e200dc7c0113ea09bad2534f91b326859928",
+        ),
+        (
+            ["--n", "2", "--x", "1,1,0,2,2", "--mode", "float"],
+            "4ad233dfba12dd74cec5889193cd6085e589ea60dbacdd8776f17658a6c61532",
+        ),
+        (
+            ["--n", "2", "--x", "1/2,1/2,3,3,0", "--format", "csv"],
+            "8b2f51a6962d177c9e7ff627390e03871f1c321e115804ecff3e4b04483f11dd",
+        ),
+        (["--n", "3", "--x", "0,1,1,0,0,0,0"], "2313aedf93f133816dbb4175bf3027e654c51985b0b1d517709e615967842adc"),
+        (
+            ["--n", "3", "--x", "1,1,0,2,2,0,0", "--format", "pretty", "--mode", "float"],
+            "702f917d22cfea22420fcf21dc357965863fb02a263ac9e1b5e878641335aaf6",
+        ),
+        (
+            ["--n", "3", "--x", "2,1,-1,2,1/2,1/2,0", "--format", "csv"],
+            "421f83a5f93b2b5c2234c111ceabcd941352c77950752044098168642ecb3c11",
+        ),
+        (
+            ["--n", "4", "--x", "0,1,1,0,0,2,2,0,0", "--format", "pretty"],
+            "d41dd5ffb3ebdff13f2712e90bd3fb37b52bf5cc53f5a1cd515e5a2e41f229dc",
+        ),
+        (
+            ["--n", "4", "--x", "1,1,0,0,0,3,3,-1,1", "--mode", "float"],
+            "e36a7187250fd5ae70869fc89687ed8b3aee130d8102e3bf3acedf35f0defb70",
+        ),
+        (
+            ["--n", "4", "--x", "1,2,0,1,2,0,0,1,1", "--format", "csv"],
+            "3e70a3e983fa91579608235753035d85854e860c1e524d470636ab6dfa92fc34",
+        ),
+    ],
+    "spin-check": [
+        (["--p", "2", "--q", "0", "--s", "1"], "eb64c6d53ac6cd47bdc5961bc98155a7508bf57ad325f8cf64622d64dd4ce834"),
+        (
+            ["--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12", "--format", "csv", "--mode", "float"],
+            "40b83f99b3cd67b494ce03e7a4034709d54b5e6a9f8dc8b56039998b34217d77",
+        ),
+        (
+            ["--p", "2", "--q", "2", "--s", "5/4 + 3/4*e12", "--ordering", "interleaved", "--format", "pretty"],
+            "428acc6c2e4d374c6d00923276b0c9256df4541174388b3a37616f6ed199fa36",
+        ),
+        (
+            ["--p", "3", "--q", "0", "--s", "2 + e12 - 1/3*e23", "--mode", "float"],
+            "fe03ab8bdfddc7c9f0b81be64c036eb134e9583ad7a1306301ee91055721fdb7",
+        ),
+        (
+            ["--p", "4", "--q", "0", "--s", "1 + e12 + e34 + e1234", "--format", "csv"],
+            "0ae8a199e9664db6c6c5d48c3681cc7556f5fcfd9eebe8b4d18a5208999ffc41",
+        ),
+        (
+            ["--p", "4", "--q", "0", "--s", "1 + e12 + e34 + 2*e1234", "--format", "pretty", "--mode", "float"],
+            "d8f729c2b3d4d77ffdb5fe99bdf319716d6682f6a053111fdbdfb533b0e3937e",
+        ),
+        (
+            ["--p", "2", "--q", "2", "--s", "e13 - 2/3*e24", "--format", "csv"],
+            "f5ecf13dda2590257d33554e44fa2ffd4285a786ba81f977a6c4b105f4c18126",
+        ),
+        (
+            ["--p", "3", "--q", "3", "--s", "1/2 + e12 - e35 + 1/2*e46", "--ordering", "interleaved"],
+            "0c28cf869ffec9ca56995ce704d1b7fa4ccbaa5a517024640f593c2fdef183d8",
+        ),
+        (
+            ["--p", "4", "--q", "4", "--s", "1 + e12 + e34 + e56 + e78 + e1234", "--format", "pretty"],
+            "21aabdc89d6d5e568ab74d814898ca4e01614e8a82c36a59e579e6fe692eb587",
+        ),
+    ],
+
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_output_is_pinned(command):
+    for argv, digest in REPORT_DIGESTS[command]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert spinorlab.cli.main([command, *argv]) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_records_serialise_exact_values():
+    spinor = SpinorCoords(2, [3, 1, -2, Fraction(1, 2)])
+    generator = independent_system(spinor)
+    relations = check_relations(
+        SpinElement(Multivector.from_text(Signature(4, 0), "1 + e12 + e34 + 2*e1234"))
+    )
+    records = [spinor, generator, relations, normalize(spinor), build_xi([1, 2, Fraction(-1, 2), 3, 0])]
+    for record in records:
+        payload = record.to_json()
+        assert all(isinstance(leaf, (Fraction, int)) for leaf in _leaves(payload)), payload
+    terms = Multivector.from_text(Signature(2, 1), "1/2 - 3*e13").to_json_terms()
+    assert terms == [{"mask": 0, "value": Fraction(1, 2)}, {"mask": 5, "value": Fraction(-3)}]
+
+    # rendered exactly, each record reads as its former string form
+    def rendered(record):
+        return spinorlab.cli._convert(record.to_json(), "exact", spinorlab.cli.DEFAULT_TOLERANCE)
+
+    assert rendered(spinor) == {"a": "3", "a1": "1", "a2": "-2", "a12": "1/2"}
+    assert rendered(generator) == {
+        "n": 2,
+        "equations": [["3", "-1", "-1", "-2", "-2"], ["-1", "3", "-3", "1/2", "1/2"], ["2", "1/2", "1/2", "-3", "3"]],
+        "basis": [["8/7", "23/28", "17/28", "1", "0"], ["-4/7", "-57/28", "-47/28", "0", "1"]],
+    }
+    assert rendered(relations) == {
+        "norm": "7",
+        "residuals": [{"indices": [1, 2, 3, 4], "value": "1"}],
+        "spin": False,
+        "spin_plus": False,
+    }
+    assert rendered(build_xi_symbolic(2)) == {
+        "n": 2,
+        "rows": [
+            ["x0", "-x1-x2", "x3+x4", "0"],
+            ["x1-x2", "-x0", "0", "x3+x4"],
+            ["-x3+x4", "0", "-x0", "x1+x2"],
+            ["0", "-x3+x4", "-x1+x2", "x0"],
+        ],
+    }

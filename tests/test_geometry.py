@@ -164,7 +164,7 @@ def test_relation_residuals_detect_violation():
 def test_spinor_json_roundtrip():
     spinor = SpinorCoords(2, [1, Fraction(1, 2), 0, -3])
     payload = spinor.to_json()
-    assert payload == {"a": "1", "a1": "1/2", "a2": "0", "a12": "-3"}
+    assert payload == {"a": Fraction(1), "a1": Fraction(1, 2), "a2": Fraction(0), "a12": Fraction(-3)}
     assert SpinorCoords.from_json(2, payload) == spinor
 
 
@@ -604,5 +604,5 @@ def test_generator_json_shape():
     g = independent_system(SpinorCoords(2, [1, 0, 0, 0]))
     payload = g.to_json()
     assert payload["n"] == 2
-    assert payload["equations"][0] == ["1", "0", "0", "0", "0"]
+    assert payload["equations"][0] == [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)]
     assert len(payload["basis"]) == 2

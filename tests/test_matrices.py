@@ -324,4 +324,4 @@ def test_xi_json_forms():
     assert symbolic.to_json() == {"n": 1, "rows": XI_1_TOKENS}
     evaluated = build_xi([1, 0, 0])
     payload = evaluated.to_json()
-    assert payload["rows"][0][0] == {"num": -1, "den": 1}
+    assert payload["rows"][0][0] == Fraction(-1)

@@ -500,7 +500,7 @@ def test_relation_report_json():
     sig = Signature(4, 0)
     s = reconstruct_from_low_grade(1, {(1, 2): 1}, sig)
     payload = check_relations(s).to_json()
-    assert payload["norm"] == "2"
+    assert payload["norm"] == Fraction(2)
     assert payload["spin"] is False
     assert payload["residuals"][0]["indices"] == [1, 2, 3, 4]
-    assert payload["residuals"][0]["value"] == "0"
+    assert payload["residuals"][0]["value"] == Fraction(0)
