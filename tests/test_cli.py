@@ -542,7 +542,6 @@ REPORT_DIGESTS = {
             "21aabdc89d6d5e568ab74d814898ca4e01614e8a82c36a59e579e6fe692eb587",
         ),
     ],
-
 }
 
 
@@ -553,6 +552,14 @@ def test_report_output_is_pinned(command):
         with contextlib.redirect_stdout(out):
             assert spinorlab.cli.main([command, *argv]) == 0, argv
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
+def test_roundtrip_verdict_is_a_rank_one_test():
+    parallel = spinorlab.cli._parallel
+    assert parallel([Fraction(2), Fraction(0), Fraction(-4)], [Fraction(-1), Fraction(0), Fraction(2)])
+    assert not parallel([Fraction(1), Fraction(0), Fraction(0)], [Fraction(1), Fraction(1), Fraction(0)])
+    assert not parallel([Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)])
+    assert not parallel([Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)])
 
 
 def _leaves(value):
