@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -37,7 +38,7 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
         rendered = _render(report, args)
@@ -59,7 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if all(bool(v) for v in verdicts.values()) else 2
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spinorlab",
         description="Exact Clifford algebra reports: classification, point matrices, "
@@ -115,7 +118,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     common(p)
     p.set_defaults(handler=cmd_motion)
 
-    return parser.parse_args(argv)
+    return parser
 
 
 # -- command handlers ---------------------------------------------------------

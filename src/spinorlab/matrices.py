@@ -276,31 +276,61 @@ def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:
 
 
 def _verify_symbolic_square(xi: XiMatrix) -> None:
-    n, size = xi.n, xi.size
-    q = Poly.var("x0") * Poly.var("x0")
-    for i in range(1, 2 * n + 1):
-        term = Poly.var(f"x{i}") * Poly.var(f"x{i}")
-        q = q + term if i % 2 == 0 else q - term
-    entries = xi.entries
-    for r in range(size):
-        row_products: dict[int, Poly] = {}
+    """Decide Xi^2 = Q(x) I by the Clifford relations of Xi(x) = sum_i x^i C_i.
+
+    The x^i x^j coefficient of Xi^2 is C_i C_j + C_j C_i, so the identity
+    holds exactly when C_i^2 = g_i I (g_i = +1 for even i, -1 for odd i)
+    and C_i C_j + C_j C_i = 0 for i < j.  Each C_i is read off the entries
+    as integer columns and the relations are checked column by column; only
+    a failure forms its first entry of Xi^2, in row order, as a polynomial.
+    """
+    size, count = xi.size, 2 * xi.n + 1
+    coefficients = _coefficient_columns(xi)
+    failures: set[tuple[int, int]] = set()
+    for c in range(size):
+        for i, left in enumerate(coefficients):
+            for j in range(i, count):
+                right = coefficients[j]
+                # column c of C_i C_j + C_j C_i, less 2 g_i I when i = j
+                column = {c: 2 if i % 2 else -2} if i == j else {}
+                for outer, inner in ((left, right), (right, left)):
+                    for r, a in inner[c]:
+                        for s, b in outer[r]:
+                            column[s] = column.get(s, 0) + a * b
+                if any(column.values()):
+                    failures.update((s, c) for s, value in column.items() if value)
+    if failures:
+        r, c = min(failures)
+        value = Poly.zero()
         for k in range(size):
-            left = entries[r][k]
-            if left.is_zero():
-                continue
-            for j in range(size):
-                right = entries[k][j]
-                if right.is_zero():
-                    continue
-                row_products[j] = row_products.get(j, Poly.zero()) + left * right
-        for j in range(size):
-            expected = q if j == r else Poly.zero()
-            value = row_products.get(j, Poly.zero())
-            if value != expected:
-                raise InvariantViolation(
-                    f"symbolic point-matrix square identity failed at entry ({r}, {j}): "
-                    f"{value!r}, expected {expected!r}"
-                )
+            value = value + xi.entries[r][k] * xi.entries[k][c]
+        q = Poly({(f"x{i}", f"x{i}"): -1 if i % 2 else 1 for i in range(count)})
+        expected = q if r == c else Poly.zero()
+        raise InvariantViolation(
+            f"symbolic point-matrix square identity failed at entry ({r}, {c}): "
+            f"{value!r}, expected {expected!r}"
+        )
+
+
+def _coefficient_columns(xi: XiMatrix) -> list[list[list[tuple[int, int]]]]:
+    """The columns of each C_i as (row, integer) pairs: out[i][c] holds C_i e_c.
+
+    An entry that is not an integer linear form in x^0..x^{2n} breaks the
+    point-matrix convention; the first such entry in row order is named.
+    """
+    index = {f"x{i}": i for i in range(2 * xi.n + 1)}
+    out: list[list[list[tuple[int, int]]]] = [[[] for _ in range(xi.size)] for _ in index]
+    for r, row in enumerate(xi.entries):
+        for c, entry in enumerate(row):
+            for mono, coeff in entry.terms.items():
+                i = index.get(mono[0]) if len(mono) == 1 else None
+                if i is None or coeff.denominator != 1:
+                    raise InvariantViolation(
+                        f"symbolic point-matrix entry ({r}, {c}) is not an integer linear form "
+                        f"in x0..x{2 * xi.n}: {entry!r}"
+                    )
+                out[i][c].append((r, coeff.numerator))
+    return out
 
 
 def _entry_token(entry: Poly) -> str:

@@ -2,9 +2,10 @@
 
 A monomial is a sorted tuple of variable names (repetition = power), the
 zero polynomial is the empty term map.  Just enough arithmetic for the
-symbolic point-matrix square and the coordinate-identity checks; no
-simplification beyond exact cancellation is ever needed because all the
-identities in this package are polynomial.
+entries of the symbolic point matrix, their evaluation, and the entry of
+Xi^2 that a failed square check reports; no simplification beyond exact
+cancellation is ever needed because all the identities in this package
+are polynomial.
 """
 
 from __future__ import annotations
@@ -91,37 +92,6 @@ class Poly:
                 acc *= Fraction(values[name])
             total += acc
         return total
-
-    def coefficient_of_var(self, name: str) -> "Poly":
-        """Polynomial Q with self = P + Q*name, requiring degree <= 1 in name.
-
-        Raises ValueError if some monomial contains `name` more than once.
-        """
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            count = mono.count(name)
-            if count > 1:
-                raise ValueError(f"degree in {name} exceeds 1")
-            if count == 1:
-                reduced = list(mono)
-                reduced.remove(name)
-                out[tuple(reduced)] = coeff
-        return Poly(out)
-
-    def without_var(self, name: str) -> "Poly":
-        """Part of self whose monomials do not contain `name`."""
-        return Poly({m: c for m, c in self.terms.items() if name not in m})
-
-    def divide_by_var(self, name: str) -> "Poly":
-        """Exact quotient self / name; every monomial must contain `name`."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            if name not in mono:
-                raise ValueError(f"monomial {mono} not divisible by {name}")
-            reduced = list(mono)
-            reduced.remove(name)
-            out[tuple(reduced)] = coeff
-        return Poly(out)
 
     def __repr__(self) -> str:
         if not self.terms:

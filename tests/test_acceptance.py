@@ -36,6 +36,7 @@ from spinorlab.geometry import _primitive, generator_rows
 from spinorlab.poly import Poly
 
 from dense import mat_eq, mat_mul
+from polyparts import coefficient_of_var, divide_by_var, without_var
 
 
 def criterion(label):
@@ -269,11 +270,11 @@ def _assert_multiple_of_condition(residual, cond):
         return
     top_var = next(v for v in cond.terms if len(v) == 2 and "a" in v)
     main = [name for name in top_var if name != "a"][0]
-    q = residual.coefficient_of_var(main)
-    p = residual.without_var(main)
-    factor = q.divide_by_var("a")
-    assert cond.coefficient_of_var(main) == Poly.var("a")
-    assert p == factor * cond.without_var(main)
+    q = coefficient_of_var(residual, main)
+    p = without_var(residual, main)
+    factor = divide_by_var(q, "a")
+    assert coefficient_of_var(cond, main) == Poly.var("a")
+    assert p == factor * without_var(cond, main)
 
 
 # -- criterion 6 -----------------------------------------------------------------
