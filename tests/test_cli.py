@@ -1,5 +1,6 @@
 """CLI reports: determinism, golden files, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -611,3 +612,71 @@ def test_records_serialise_exact_values():
             ["0", "-x3+x4", "-x1+x2", "x0"],
         ],
     }
+
+
+def call_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = spinorlab.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    spinorlab.cli._parser.cache_clear()
+    try:
+        for argv in (["classify", "--p", "1", "--q", "1"], ["xi", "--n", "2"], ["xi", "--n", "1", "--x", "1,0,0"]):
+            assert call_main(argv)[0] == 0, argv
+    finally:
+        spinorlab.cli._parser.cache_clear()
+    assert built.count("spinorlab") == 1
+    assert len(built) == 7  # the root parser and one per subcommand
+
+
+def test_parsed_options_do_not_leak_between_calls(tmp_path):
+    seeded = ["motion", "--n", "2", "--seed", "5", "--x", "0,1,1,0,0"]
+    with_k2 = call_main(seeded + ["--k", "2"])
+    without_k = call_main(seeded)
+    assert without_k == call_main(seeded + ["--k", "1"]) != with_k2
+    assert spinorlab.cli._parser().parse_args(seeded).k == 1
+    target = tmp_path / "report.json"
+    classify = ["classify", "--p", "1", "--q", "1"]
+    assert call_main(classify + ["--out", str(target)]) == (0, "", "")
+    code, out, _ = call_main(classify)
+    assert code == 0 and out == target.read_text(encoding="utf-8")
+
+
+EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+# exit code and sha256 of stdout and stderr, recorded with Python 3.11 and
+# COLUMNS=80 before the parser was built once per process
+PARSER_OUTPUT_DIGESTS = [
+    (["--help"], 0, "3da5bffc86f7ee10943cc603497afa2c2e78a2137f653ce7af30a91ee1ff0794", EMPTY_DIGEST),
+    (["xi", "--help"], 0, "33acd99a6d3777213b9c3d317a809b10ccace60c0aa4266c2755229f1eff50e0", EMPTY_DIGEST),
+    (
+        ["xi", "--n", "2", "--format", "xml"],
+        2,
+        EMPTY_DIGEST,
+        "462919a5430428f9a0d3a5c0c8bd73f130de41e222268cc39e71a2b73f96df91",
+    ),
+]
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, out_digest, err_digest in PARSER_OUTPUT_DIGESTS:
+        for _ in range(2):  # the second call reuses the parser
+            result_code, out, err = call_main(argv)
+            digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+            assert (result_code, *digests) == (code, out_digest, err_digest), argv

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,10 @@ from spinorlab import (
     rep_multivector,
     xi_square_check,
 )
-from spinorlab.matrices import blade_image
+from spinorlab.matrices import MAX_RANK, blade_image
+from spinorlab.poly import Poly
 
+import dense
 from dense import identity, mat_eq, mat_mul
 
 XI_1_TOKENS = [
@@ -55,9 +58,17 @@ def test_rank_three_recursion_entries():
     assert tokens[4][0] == "-x5+x6"
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
 def test_symbolic_square_identity(n):
     build_xi_symbolic(n).verify_square_identity()
+
+
+def test_symbolic_square_identity_at_the_top_ranks_within_budget():
+    matrices = [build_xi_symbolic(n) for n in (MAX_RANK - 1, MAX_RANK)]  # built outside the timed region
+    started = time.perf_counter()
+    for xi in matrices:
+        xi.verify_square_identity()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_generator_relations_in_representation():
@@ -269,6 +280,59 @@ def test_square_check_catches_tampering_with_any_denominator(x):
             tampered = XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
             with pytest.raises(InvariantViolation, match=re.escape(expected)):
                 tampered.verify_square_identity(x)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symbolic_square_agrees_with_the_polynomial_square(n):
+    xi = build_xi_symbolic(n)
+    xi.verify_square_identity()
+    dense.verify_symbolic_square(xi)
+
+
+def _tampered_symbolic(n):
+    """Single-entry tamperings of the rank-n symbolic matrix, as (label, rows)."""
+    base = build_xi_symbolic(n)
+    nonzero = [(r, c) for r, row in enumerate(base.entries) for c, entry in enumerate(row) if entry.terms]
+    swap = {"x1": "x2", "x2": "x1"}
+    x0, x1 = Poly.var("x0"), Poly.var("x1")
+    edits = [
+        ("flip", lambda e: -e),
+        ("swap_x1_x2", lambda e: Poly({tuple(swap.get(v, v) for v in m): k for m, k in e.terms.items()})),
+        ("zero", lambda e: Poly.zero()),
+        ("double", lambda e: 2 * e),
+    ]
+    for label, edit in edits:
+        for r, c in nonzero:
+            rows = base.rows()
+            rows[r][c] = edit(rows[r][c])
+            if rows[r][c] != base.entries[r][c]:
+                yield f"{label} ({r}, {c})", rows
+    for label, (r, c), entry in [
+        ("quadratic", nonzero[0], x1 * x1),
+        ("non-integer", nonzero[-1], x0 * Fraction(1, 2)),
+    ]:
+        rows = base.rows()
+        rows[r][c] = entry
+        yield f"{label} ({r}, {c})", rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symbolic_square_rejects_every_tampering_like_the_polynomial_square(n):
+    seen = set()
+    for label, rows in _tampered_symbolic(n):
+        seen.add(label.split()[0])
+        tampered = XiMatrix(n, tuple(map(tuple, rows)), symbolic=True)
+        with pytest.raises(InvariantViolation) as oracle:
+            dense.verify_symbolic_square(tampered)
+        with pytest.raises(InvariantViolation) as decided:
+            tampered.verify_square_identity()
+        if label.startswith(("quadratic", "non-integer")):
+            # a broken convention is named at the entry itself
+            position = label.split(" ", 1)[1]
+            assert str(decided.value).startswith(f"symbolic point-matrix entry {position} is not an integer"), label
+        else:
+            assert str(decided.value) == str(oracle.value), label
+    assert seen == {"flip", "swap_x1_x2", "zero", "double", "quadratic", "non-integer"}
 
 
 def test_quadratic_form_examples():
