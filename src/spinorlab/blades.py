@@ -2,9 +2,11 @@
 
 A basis blade e_{i1...ik} with 1 <= i1 < ... < ik <= p+q is encoded as the
 integer mask with bit i-1 set for every factor e_i; the scalar blade is
-mask 0.  Coefficients are ``fractions.Fraction`` throughout, so every
-algebraic identity in this package is decided exactly.  Floating point
-exists only as a presentation mode at the CLI layer.
+mask 0.  Coefficients are stored as ``fractions.Fraction``, so every
+algebraic identity in this package is decided exactly.  The product
+accumulates integer numerators over one common denominator per operand and
+forms one ``Fraction`` per result blade, at the end.  Floating point exists
+only as a presentation mode at the CLI layer.
 
 Generator relations: e_i e_j = -e_j e_i for i != j and e_i**2 = sigma(i),
 where sigma is fixed by the :class:`Signature` and its ordering convention
@@ -23,6 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from .linalg import _cleared, solve_unique
+
 Rational = Union[int, Fraction]
 
 PLAIN = "plain"
@@ -30,6 +34,8 @@ INTERLEAVED = "interleaved"
 
 #: Largest supported number of generators.
 MAX_DIM = 16
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,12 @@ def _sigma_tuple(p: int, q: int, ordering: str) -> tuple[int, ...]:
     return head + tail
 
 
+@lru_cache(maxsize=None)
+def _negative_mask(p: int, q: int, ordering: str) -> int:
+    """Mask of the generators that square to -1."""
+    return sum(1 << i for i, sigma in enumerate(_sigma_tuple(p, q, ordering)) if sigma < 0)
+
+
 def blade_grade(mask: int) -> int:
     """Number of generator factors in a blade."""
     return mask.bit_count()
@@ -110,25 +122,24 @@ def blade_product(b1: int, b2: int, sig: Signature) -> tuple[int, int]:
     The result mask is the XOR of the factor masks; the sign is (-1) to the
     number of transpositions needed to interleave the factors into canonical
     ascending order, times sigma(i) for every index present in both blades.
+    Only parities matter: bit j of ``above`` is the parity of the factors of
+    b1 above position j (a suffix XOR over at most MAX_DIM bits), so the
+    transpositions are counted by one popcount, and so are the common
+    factors that square to -1.
     """
-    if b1 >> sig.dim or b2 >> sig.dim:
+    dim = sig.p + sig.q
+    if b1 >> dim or b2 >> dim:
         raise ValueError("blade mask outside the algebra's generators")
-    a = b1 >> 1
-    swaps = 0
-    while a:
-        swaps += (a & b2).bit_count()
-        a >>= 1
-    sign = -1 if swaps & 1 else 1
+    above = b1 >> 1
+    above ^= above >> 1
+    above ^= above >> 2
+    above ^= above >> 4
+    above ^= above >> 8
+    flips = (above & b2).bit_count()
     common = b1 & b2
     if common:
-        sigmas = sig.sigmas()
-        i = 0
-        while common:
-            if common & 1:
-                sign *= sigmas[i]
-            common >>= 1
-            i += 1
-    return sign, b1 ^ b2
+        flips += (common & _negative_mask(sig.p, sig.q, sig.ordering)).bit_count()
+    return -1 if flips & 1 else 1, b1 ^ b2
 
 
 def volume_element(sig: Signature) -> int:
@@ -168,6 +179,19 @@ class Multivector:
         self.signature = signature
         self._terms = clean
 
+    @classmethod
+    def _from_terms(cls, signature: Signature, terms: dict[int, Fraction]) -> "Multivector":
+        """Wrap terms that are valid by construction: masks in range, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.signature = signature
+        out._terms = terms
+        return out
+
+    def _cleared_terms(self) -> tuple[list[tuple[int, int]], int]:
+        """(mask, numerator) pairs over the lcm of the denominators, and that lcm."""
+        numerators, scale = _cleared(self._terms.values())
+        return list(zip(self._terms, numerators)), scale
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -203,16 +227,13 @@ class Multivector:
         return iter(self._terms)
 
     def coefficient(self, mask: int) -> Fraction:
-        return self._terms.get(mask, Fraction(0))
+        return self._terms.get(mask, _ZERO)
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(0, Fraction(0))
+        return self._terms.get(0, _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def grades(self) -> set[int]:
-        return {blade_grade(m) for m in self._terms}
 
     def is_even(self) -> bool:
         return all(blade_grade(m) % 2 == 0 for m in self._terms)
@@ -250,23 +271,31 @@ class Multivector:
         return Multivector(self.signature, out)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.signature, {m: -c for m, c in self._terms.items()})
+        return Multivector._from_terms(self.signature, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: Union["Multivector", Rational]) -> "Multivector":
+        """Geometric product, or scaling by a rational.
+
+        Each operand is cleared to integer numerators over the lcm of its
+        denominators; the signed numerator products are summed per result
+        blade and divided by the product of the two lcms once.
+        """
+        left, d1 = self._cleared_terms()
         if isinstance(other, (int, Fraction)):
-            return Multivector(self.signature, {m: c * other for m, c in self._terms.items()})
+            if not other:
+                return Multivector._from_terms(self.signature, {})
+            p, d2 = other.numerator, other.denominator * d1
+            return Multivector._from_terms(self.signature, {m: Fraction(v * p, d2) for m, v in left})
         self._check_signature(other)
         sig = self.signature
-        out: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        right, d2 = other._cleared_terms()
+        out: dict[int, int] = {}
+        for m1, a in left:
+            for m2, b in right:
                 sign, mask = blade_product(m1, m2, sig)
-                acc = out.get(mask, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
-                if acc:
-                    out[mask] = acc
-                elif mask in out:
-                    del out[mask]
-        return Multivector(sig, out)
+                out[mask] = out.get(mask, 0) + (a * b if sign > 0 else -a * b)
+        scale = d1 * d2
+        return Multivector._from_terms(sig, {m: Fraction(v, scale) for m, v in out.items() if v})
 
     def __rmul__(self, other: Rational) -> "Multivector":
         if isinstance(other, (int, Fraction)):
@@ -297,13 +326,14 @@ class Multivector:
         for mask, coeff in self._terms.items():
             k = blade_grade(mask)
             out[mask] = -coeff if (k * (k - 1) // 2) & 1 else coeff
-        return Multivector(self.signature, out)
+        return Multivector._from_terms(self.signature, out)
 
     def grade_projection(self, k: int) -> "Multivector":
         """Grade-k part; k must lie in 0..p+q."""
         if not 0 <= k <= self.signature.dim:
             raise ValueError(f"grade {k} outside 0..{self.signature.dim}")
-        return Multivector(self.signature, {m: c for m, c in self._terms.items() if blade_grade(m) == k})
+        terms = {m: c for m, c in self._terms.items() if blade_grade(m) == k}
+        return Multivector._from_terms(self.signature, terms)
 
     # -- inversion ----------------------------------------------------------
 
@@ -324,8 +354,6 @@ class Multivector:
         dim = self.signature.dim
         if dim > 10:
             raise ValueError("general inversion limited to p+q <= 10")
-        from . import linalg
-
         size = 1 << dim
         cols: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
         for basis_mask in range(size):
@@ -334,7 +362,7 @@ class Multivector:
                 cols[mask][basis_mask] = coeff
         rhs = [Fraction(0)] * size
         rhs[0] = Fraction(1)
-        solution = linalg.solve_unique(cols, rhs)
+        solution = solve_unique(cols, rhs)
         if solution is None:
             raise ValueError("multivector is not invertible")
         return Multivector(self.signature, dict(enumerate(solution)))

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import linalg
 from .blades import Multivector, Rational, blade_indices, mask_from_indices
 from .errors import InvariantViolation
+from .linalg import _cleared
 from .matrices import build_xi, neutral_signature, point_blade_images, quadratic_form, rep_multivector
 from .spin import SpinElement, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
@@ -372,7 +373,7 @@ def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
     """Xi(x) v = sum_i x^i E_i v in integers, for a sparse integer v and the
     point x scaled by the lcm of its denominators; zero entries are dropped."""
     out: dict[int, int] = {}
-    for image, c in zip(point_blade_images(len(point) // 2), _cleared(point)):
+    for image, c in zip(point_blade_images(len(point) // 2), _cleared(point)[0]):
         if c:
             for j, value in vector.items():
                 r = image.perm[j]
@@ -382,7 +383,7 @@ def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
     # Xi(x) a = 0 exactly when it holds for integer multiples of x and a
-    values = {j: c for j, c in enumerate(_cleared(a.values)) if c}
+    values = {j: c for j, c in enumerate(_cleared(a.values)[0]) if c}
     for point in g.basis:
         if _xi_apply(point, values):
             raise InvariantViolation(
@@ -390,15 +391,9 @@ def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
             )
 
 
-def _cleared(vector: Sequence[Fraction]) -> list[int]:
-    """The vector times the lcm of its denominators."""
-    scale = math.lcm(*(v.denominator for v in vector))
-    return [v.numerator * (scale // v.denominator) for v in vector]
-
-
 def _primitive(vector: Sequence[Fraction]) -> list[Fraction]:
     """Clear denominators, divide by the gcd, make the first nonzero positive."""
-    ints = _cleared(vector)
+    ints = _cleared(vector)[0]
     g = math.gcd(*ints)
     if g:
         ints = [v // g for v in ints]

@@ -258,6 +258,8 @@ def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:
     """Square the sparse rows of L*Xi in integers, L the lcm of the entries'
     denominators, and compare with L^2 Q(x) I; a failure is reported in the
     original units at its first entry in row order."""
+    # cleared inline: linalg._cleared would also clear the zeros, which slowed
+    # this check by about 15%
     scale = lcm(*(v.denominator for row in entries for v in row))
     sparse = [[(c, v.numerator * (scale // v.denominator)) for c, v in enumerate(row) if v] for row in entries]
     target = scale * scale * q

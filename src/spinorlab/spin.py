@@ -28,6 +28,12 @@ times itself reaches the scalar blade.  A verified element has
 s^-1 = reverse(s) / N(s), so no action inverts it.  A rotation reads only the
 grade-1 coefficients of (s x) reverse(s) / N and checks s x = y s exactly;
 the point motions of the geometry module are these rotations.
+
+Coordinates are stored as ``Fraction``.  The Pfaffian table, the relation
+residuals, the completion, the spin norm and the rotation accumulate
+integer numerators over one common denominator and form one ``Fraction``
+per output, at the end; the residuals and the two norm routes are compared
+as integers.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 from typing import Callable, Mapping, Sequence, Union
 
-from .blades import MAX_DIM, Multivector, Rational, Signature, blade_indices, blade_product, mask_from_indices
+from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _negative_mask, blade_indices, blade_product
+from .blades import mask_from_indices
 from .errors import InvariantViolation
+from .linalg import _cleared
 
 
 class SpinElement:
@@ -85,10 +92,6 @@ class SpinElement:
     def scalar_coord(self) -> Fraction:
         return self.value.scalar_part()
 
-    def skew_table(self) -> list[list[Fraction]]:
-        """Grade-2 coordinates as a full skew matrix, 0-indexed."""
-        return _pair_table(self.value.coefficient, self.signature.dim)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinElement):
             return NotImplemented
@@ -101,34 +104,50 @@ class SpinElement:
 def pfaffians(table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Pf(A_I) for every index set I of the skew table A, indexed by blade mask.
 
-    One pass in increasing mask order: each even set is expanded along its
-    lowest index, reading the smaller sets already in the table.  Odd sets
-    get 0 and the empty set 1.  The table has 2^d entries, so d is capped
-    at MAX_DIM.
+    The table is built over the integer table D A, D the lcm of the entries'
+    denominators, and Pf(A_I) = Pf(D A)_I / D^(|I|/2).  Odd sets get 0 and
+    the empty set 1.  The table has 2^d entries, so d is capped at MAX_DIM.
     """
-    if len(table) > MAX_DIM:
-        raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {len(table)}")
-    pfs = [Fraction(0)] * (1 << len(table))
-    pfs[0] = Fraction(1)
+    pfs, scale = _pfaffian_numerators(table)
+    powers = [scale**k for k in range(len(table) // 2 + 1)]
+    return [Fraction(pf, powers[mask.bit_count() // 2]) if pf else _ZERO for mask, pf in enumerate(pfs)]
+
+
+def _pfaffian_numerators(table: Sequence[Sequence[Rational]]) -> tuple[list[int], int]:
+    """Pf(D A)_I for every index set I of the skew table A, by blade mask,
+    with D the lcm of the entries' denominators; and D.
+
+    One pass in increasing mask order over the integer table D A: each even
+    set is expanded along its lowest index, reading the smaller sets already
+    in the table.
+    """
+    n = len(table)
+    if n > MAX_DIM:
+        raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {n}")
+    cleared, scale = _cleared([v for row in table for v in row])
+    values = iter(cleared)
+    rows = [[next(values) for _ in row] for row in table]
+    pfs = [0] * (1 << n)
+    pfs[0] = 1
     for mask in range(3, len(pfs)):
         if mask.bit_count() % 2:
             continue
         low = mask & -mask
-        row = table[low.bit_length() - 1]
+        row = rows[low.bit_length() - 1]
         rest = mask ^ low
-        total = Fraction(0)
+        total = 0
         negate = False
         bits = rest
         while bits:
             bit = bits & -bits
             bits ^= bit
             entry = row[bit.bit_length() - 1]
-            sub = pfs[rest ^ bit]
-            if entry and sub:
+            if entry:
+                sub = pfs[rest ^ bit]
                 total += -entry * sub if negate else entry * sub
             negate = not negate
         pfs[mask] = total
-    return pfs
+    return pfs, scale
 
 
 def pfaffian(skew: Sequence[Sequence[Fraction]], indices: Sequence[int] | None = None) -> Fraction:
@@ -144,22 +163,26 @@ def spin_norm(s: SpinElement) -> Fraction:
 
     Only a blade times itself reaches the scalar blade, so the scalar is the
     sum of c^2 times each blade's reversion sign times the sign of its square.
+    Both sums run over the integer numerators N = D c, D the lcm of the
+    coefficients' denominators, and are compared as integers over D^2.
     """
     sig = s.signature
-    sigmas = sig.sigmas()
-    total = diagonal = Fraction(0)
-    for mask, coeff in s.value.items():
-        square = coeff * coeff
-        total += square * prod(sigmas[i - 1] for i in blade_indices(mask))
+    negative = _negative_mask(sig.p, sig.q, sig.ordering)
+    terms, scale = s.value._cleared_terms()
+    total = diagonal = 0
+    for mask, v in terms:
+        square = v * v
+        total += -square if (mask & negative).bit_count() & 1 else square
         grade = mask.bit_count()
         sign = blade_product(mask, mask, sig)[0]
         diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
     if diagonal != total:
         raise InvariantViolation(
             "spin norm routes disagree, sign convention broken: "
-            f"coordinate sum {total}, scalar(s * reverse(s)) {diagonal}"
+            f"coordinate sum {Fraction(total, scale * scale)}, "
+            f"scalar(s * reverse(s)) {Fraction(diagonal, scale * scale)}"
         )
-    return total
+    return Fraction(total, scale * scale)
 
 
 def is_lipschitz(s: Multivector, *, _norm_read: bool = False) -> bool:
@@ -182,7 +205,7 @@ def is_lipschitz(s: Multivector, *, _norm_read: bool = False) -> bool:
     if len({mask.bit_count() & 1 for mask in s.masks()}) == 1:
         low = min(s.masks())
         t = SpinElement(s * Multivector.blade(sig, low) if low else s)
-        if any(value for _, value in relation_residuals(t.value.coefficient, sig.dim)):
+        if any(value for _, _, value in _residual_numerators(t.value.coefficient, sig.dim)[0]):
             return False
         if not _norm_read and spin_norm(t) == 0:
             raise ValueError("multivector is not invertible")
@@ -253,15 +276,37 @@ def relation_residuals(
     the skew table of its grade-2 coordinates.  Sets come by size, then in
     lexicographic order.
     """
-    pfs = pfaffians(_pair_table(coord, n))
-    scalar = coord(0)
-    out: list[tuple[tuple[int, ...], Fraction]] = []
+    numerators, scale = _residual_numerators(coord, n)
+    powers = [scale**k for k in range(n // 2 + 1)]
+    return [(subset, Fraction(v, powers[k]) if v else _ZERO) for subset, k, v in numerators]
+
+
+def _residual_numerators(
+    coord: Callable[[int], Fraction], n: int
+) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
+    """(I, k, N_0^(k-1) N_I - Pf(N_A)_I) for every even index set I, |I| = 2k >= 4,
+    in the order of :func:`relation_residuals`, and D.
+
+    N = D a are the even coordinates over the lcm D of their denominators,
+    so the residual of I is the integer given here over D^k.
+    """
+    masks = [mask for mask in range(1 << n) if not mask.bit_count() & 1]
+    cleared, scale = _cleared([coord(mask) for mask in masks])
+    numerators = [0] * (1 << n)
+    for mask, v in zip(masks, cleared):
+        numerators[mask] = v
+    table = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = numerators[1 << i | 1 << j]
+        table[j][i] = -table[i][j]
+    pfs = _pfaffian_numerators(table)[0]
+    out = []
     for size in range(4, n + 1, 2):
-        power = scalar ** (size // 2 - 1)
+        power = numerators[0] ** (size // 2 - 1)
         for subset in combinations(range(1, n + 1), size):
             mask = mask_from_indices(subset)
-            out.append((subset, power * coord(mask) - pfs[mask]))
-    return out
+            out.append((subset, size // 2, power * numerators[mask] - pfs[mask]))
+    return out, scale
 
 
 def check_relations(s: SpinElement) -> RelationReport:
@@ -281,14 +326,21 @@ def completed_coords(scalar: Rational, table: Sequence[Sequence[Fraction]]) -> l
     """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I, by blade mask.
 
     Pf of the empty set is 1, so the scalar comes back as a, each pair as
-    its table entry, and odd sets as 0.  The scalar must be nonzero.
+    its table entry, and odd sets as 0.  The scalar must be nonzero.  With
+    a = p/q and D the lcm of the table's denominators, a^I is
+    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.
     """
     a = Fraction(scalar)
     if a == 0:
         raise ValueError("completion needs a nonzero scalar coordinate")
-    powers = [a ** (k - 1) for k in range(len(table) // 2 + 1)]
-    pfs = pfaffians(table)
-    return [pf / powers[mask.bit_count() // 2] if pf else pf for mask, pf in enumerate(pfs)]
+    pfs, scale = _pfaffian_numerators(table)
+    p, q = a.numerator, a.denominator
+    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, len(table) // 2 + 1)]
+    out = []
+    for mask, pf in enumerate(pfs):
+        num, den = ratios[mask.bit_count() // 2]
+        out.append(Fraction(pf * num, den) if pf else _ZERO)
+    return out
 
 
 def reconstruct_from_low_grade(
@@ -303,16 +355,7 @@ def reconstruct_from_low_grade(
     meaningless otherwise.
     """
     coords = completed_coords(scalar, _skew_table(skew, sig.dim))
-    return SpinElement(Multivector(sig, dict(enumerate(coords))))
-
-
-def _pair_table(coord: Callable[[int], Fraction], n: int) -> list[list[Fraction]]:
-    """Skew table of the grade-2 coordinates of a rank-n element, read by mask."""
-    table = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        table[i][j] = coord(1 << i | 1 << j)
-        table[j][i] = -table[i][j]
-    return table
+    return SpinElement(Multivector._from_terms(sig, {mask: c for mask, c in enumerate(coords) if c}))
 
 
 def _skew_table(
@@ -337,10 +380,12 @@ def _skew_table(
 
 
 def vector_norm(x: Multivector) -> Fraction:
-    """Quadratic form (x,x) of a grade-1 element."""
+    """Quadratic form (x,x) of a grade-1 element, summed over integer numerators."""
     if not x.is_grade(1):
         raise ValueError("not a pure vector")
-    return (x * x).scalar_part()
+    sigmas = x.signature.sigmas()
+    terms, scale = x._cleared_terms()
+    return Fraction(sum(sigmas[mask.bit_length() - 1] * v * v for mask, v in terms), scale * scale)
 
 
 def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
@@ -429,20 +474,25 @@ def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
 
     Only the grade-1 coefficients of (s x) reverse(s) / N are read: the e_i
     coefficient pairs each term of s x with the term of reverse(s) whose
-    blade differs from it in e_i alone.  The exact identity s x = y s then
-    shows that the conjugate has no other grade.
+    blade differs from it in e_i alone, summed over the integer numerators
+    of both.  The exact identity s x = y s then shows that the conjugate has
+    no other grade.
     """
     sig = s.signature
     sx = s * x
-    rev = dict(s.reverse().items())
+    left, d1 = sx._cleared_terms()
+    right, d2 = s.reverse()._cleared_terms()
+    rev = dict(right)
+    norm = Fraction(norm)
+    scale = d1 * d2 * norm.numerator
     coords = []
     for i in range(sig.dim):
-        total = Fraction(0)
-        for mask, c in sx.items():
-            r = rev.get(mask ^ 1 << i)
-            if r:
-                total += c * r if blade_product(mask, mask ^ 1 << i, sig)[0] > 0 else -c * r
-        coords.append(total / norm)
+        total = 0
+        for mask, a in left:
+            b = rev.get(mask ^ 1 << i)
+            if b:
+                total += a * b if blade_product(mask, mask ^ 1 << i, sig)[0] > 0 else -a * b
+        coords.append(Fraction(total * norm.denominator, scale) if total else _ZERO)
     y = Multivector.vector(sig, coords)
     if y * s != sx:
         raise InvariantViolation("conjugation left the vector space")

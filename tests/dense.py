@@ -1,15 +1,24 @@
-"""Dense products, the test oracles for the sparse and integer routes.
+"""Dense products and plain ``Fraction`` routes, the test oracles for the
+sparse and integer routes.
 
 The library multiplies no dense matrices: its representation is built from
 signed permutations, its motions act in the algebra, and it decides the
 symbolic point-matrix square by the Clifford relations of its coefficient
 matrices.  These plain products check all three against ordinary matrix
 algebra.
+
+Its Clifford product, Pfaffian table, relation residuals, completion and
+spin norm run on integer numerators over a common denominator.  The
+``Fraction``-per-step routes below are the ones they replaced, kept to
+check them bit for bit.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from spinorlab import linalg
+from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
 from spinorlab.poly import Poly
 
@@ -74,3 +83,97 @@ def verify_symbolic_square(xi):
                     f"symbolic point-matrix square identity failed at entry ({r}, {j}): "
                     f"{value!r}, expected {expected!r}"
                 )
+
+
+def grades(m):
+    """The grades present in a multivector."""
+    return {blade_grade(mask) for mask in m.masks()}
+
+
+def pair_table(coord, n):
+    """Skew table of the grade-2 coordinates of a rank-n element, read by mask."""
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        table[i][j] = coord(1 << i | 1 << j)
+        table[j][i] = -table[i][j]
+    return table
+
+
+def skew_table(s):
+    """Grade-2 coordinates of a spin element as a full skew matrix, 0-indexed."""
+    return pair_table(s.value.coefficient, s.signature.dim)
+
+
+def product(a, b):
+    """Geometric product with one ``Fraction`` product and sum per term pair."""
+    sig = a.signature
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, mask = blade_product(m1, m2, sig)
+            acc = out.get(mask, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+            if acc:
+                out[mask] = acc
+            elif mask in out:
+                del out[mask]
+    return Multivector(sig, out)
+
+
+def pfaffians(table):
+    """Pf(A_I) for every index set I by blade mask, expanded in ``Fraction``."""
+    pfs = [Fraction(0)] * (1 << len(table))
+    pfs[0] = Fraction(1)
+    for mask in range(3, len(pfs)):
+        if mask.bit_count() % 2:
+            continue
+        low = mask & -mask
+        row = table[low.bit_length() - 1]
+        rest = mask ^ low
+        total = Fraction(0)
+        negate = False
+        bits = rest
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            entry = row[bit.bit_length() - 1]
+            sub = pfs[rest ^ bit]
+            if entry and sub:
+                total += -entry * sub if negate else entry * sub
+            negate = not negate
+        pfs[mask] = total
+    return pfs
+
+
+def relation_residuals(coord, n):
+    """a^(k-1) a^I - Pf(A_I) for every even I, |I| >= 4, by size then lexicographically."""
+    pfs = pfaffians(pair_table(coord, n))
+    scalar = coord(0)
+    out = []
+    for size in range(4, n + 1, 2):
+        power = scalar ** (size // 2 - 1)
+        for subset in combinations(range(1, n + 1), size):
+            mask = mask_from_indices(subset)
+            out.append((subset, power * coord(mask) - pfs[mask]))
+    return out
+
+
+def completed_coords(scalar, table):
+    """a^I = Pf(A_I) / a^(k-1) for every index set I, by blade mask."""
+    a = Fraction(scalar)
+    powers = [a ** (k - 1) for k in range(len(table) // 2 + 1)]
+    return [pf / powers[mask.bit_count() // 2] if pf else pf for mask, pf in enumerate(pfaffians(table))]
+
+
+def spin_norm(s):
+    """The two norm routes in ``Fraction``: the signed coordinate sum and the
+    diagonal of s * reverse(s)."""
+    sig = s.signature
+    sigmas = sig.sigmas()
+    total = diagonal = Fraction(0)
+    for mask, coeff in s.value.items():
+        square = coeff * coeff
+        total += square * prod(sigmas[i - 1] for i in blade_indices(mask))
+        grade = mask.bit_count()
+        sign = blade_product(mask, mask, sig)[0]
+        diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
+    return total, diagonal

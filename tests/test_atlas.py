@@ -26,6 +26,8 @@ from spinorlab.atlas import (
     verify_even_subalgebra_map,
 )
 
+from dense import grades
+
 # (p, q) -> (ring, size, multiplicity), from the classical period-8 table
 KNOWN_CLASSES = {
     (0, 0): ("R", 1, 1),
@@ -98,7 +100,7 @@ def test_even_map_images_live_in_even_part():
     sig = Signature(3, 2)
     for image in even_subalgebra_generator_images(sig):
         assert image.is_even()
-        assert image.grades() <= {2}
+        assert grades(image) <= {2}
 
 
 def test_center_structure():

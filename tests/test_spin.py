@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import (
     INTERLEAVED,
@@ -28,7 +30,10 @@ from spinorlab import (
 from spinorlab import linalg
 from spinorlab.blades import MAX_DIM, blade_product
 from spinorlab.errors import InvariantViolation
-from spinorlab.spin import _rotate, pfaffians, random_unit_vector, vector_norm
+from spinorlab.spin import _rotate, completed_coords, pfaffians, random_unit_vector, relation_residuals, vector_norm
+
+import dense
+from dense import skew_table
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -367,7 +372,7 @@ def test_reconstruct_roundtrip_on_spin_elements():
         s = random_spin_element(sig, seed, k=2)
         if s.scalar_coord() == 0:
             continue
-        rebuilt = reconstruct_from_low_grade(s.scalar_coord(), s.skew_table(), sig)
+        rebuilt = reconstruct_from_low_grade(s.scalar_coord(), skew_table(s), sig)
         assert rebuilt.value == s.value
         done += 1
 
@@ -462,6 +467,13 @@ def test_rotation_checks_the_conjugate_is_a_vector():
         _rotate(s, Multivector.generator(sig, 1), 1)
 
 
+def test_rotation_divides_by_a_rational_norm():
+    # s = 1/2 has N(s) = 1/4 and conjugates every vector to itself
+    sig = Signature(2, 1)
+    x = Multivector.vector(sig, [Fraction(3), Fraction(-1, 2), Fraction(5, 7)])
+    assert _rotate(Multivector.scalar(sig, Fraction(1, 2)), x, Fraction(1, 4)) == x
+
+
 def test_spin_element_value_cannot_be_reassigned():
     s = SpinElement(Multivector.scalar(CL20, 1))
     assert is_spin(s)
@@ -504,3 +516,81 @@ def test_relation_report_json():
     assert payload["spin"] is False
     assert payload["residuals"][0]["indices"] == [1, 2, 3, 4]
     assert payload["residuals"][0]["value"] == Fraction(0)
+
+
+# -- the integer routes against the Fraction oracles ---------------------------
+
+
+def bits(values):
+    """Exact (type, numerator, denominator) records of a list of rationals."""
+    return [(type(v), v.numerator, v.denominator) for v in values]
+
+
+#: Rationals with mixed denominators up to 10^6.
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def skew_tables(draw, max_dim=8):
+    n = draw(st.integers(0, max_dim))
+    table = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(rationals | st.just(Fraction(0)))
+            table[i][j], table[j][i] = v, -v
+    return table
+
+
+@st.composite
+def even_elements(draw):
+    """A completion that passes the relations, with a few coordinates
+    perturbed or zeroed, in a signature of dims 0..8 of either ordering."""
+    table = draw(skew_tables())
+    dim = len(table)
+    p = draw(st.integers(0, dim))
+    sig = Signature(p, dim - p, draw(st.sampled_from(["plain", INTERLEAVED])))
+    coords = dense.completed_coords(draw(rationals.filter(bool)), table)
+    even = [mask for mask in range(1 << dim) if not mask.bit_count() & 1]
+    changes = draw(st.dictionaries(st.sampled_from(even), rationals | st.just(Fraction(0)), max_size=3))
+    terms = dict(enumerate(coords))
+    terms.update(changes)
+    return SpinElement(Multivector(sig, terms))
+
+
+@settings(max_examples=120, deadline=None)
+@given(skew_tables(), rationals.filter(bool))
+def test_pfaffian_table_and_completion_are_bit_equal_to_the_fraction_oracle(table, scalar):
+    assert bits(pfaffians(table)) == bits(dense.pfaffians(table))
+    assert bits(completed_coords(scalar, table)) == bits(dense.completed_coords(scalar, table))
+
+
+@settings(max_examples=120, deadline=None)
+@given(even_elements())
+def test_residuals_and_norm_are_bit_equal_to_the_fraction_oracle(s):
+    coord, dim = s.value.coefficient, s.signature.dim
+    residuals = relation_residuals(coord, dim)
+    expected = dense.relation_residuals(coord, dim)
+    assert [subset for subset, _ in residuals] == [subset for subset, _ in expected]
+    assert bits(value for _, value in residuals) == bits(value for _, value in expected)
+    total, diagonal = dense.spin_norm(s)
+    assert bits([spin_norm(s)]) == bits([total]) == bits([diagonal])
+
+
+@settings(max_examples=60, deadline=None)
+@given(skew_tables())
+def test_pfaffian_squares_to_determinant_on_mixed_denominators(table):
+    """Pf^2 = det, the independent oracle, on the full table and its leading minors."""
+    pfs = pfaffians(table)
+    for size in range(0, len(table) + 1, 2):
+        minor = [row[:size] for row in table[:size]]
+        assert pfs[(1 << size) - 1] ** 2 == linalg.det(minor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_vector_norm_is_bit_equal_to_the_square(data):
+    dim = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(0, dim))
+    sig = Signature(p, dim - p, data.draw(st.sampled_from(["plain", INTERLEAVED])))
+    x = Multivector.vector(sig, data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
+    assert bits([vector_norm(x)]) == bits([dense.product(x, x).scalar_part()])
