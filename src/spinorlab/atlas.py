@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .blades import (
@@ -23,6 +22,7 @@ from .blades import (
     mask_from_indices,
     volume_square,
 )
+from .errors import InvariantViolation
 
 _RING_DIMENSION = {"R": 1, "C": 2, "H": 4}
 
@@ -67,7 +67,7 @@ def classify(sig: Signature) -> AlgebraClass:
     size = 1 << ((dim - offset) // 2)
     result = AlgebraClass(ring=ring, size=size, multiplicity=multiplicity, p=sig.p, q=sig.q)
     if result.real_dimension != 1 << dim:
-        raise AssertionError(f"dimension identity broken for Cl({sig.p},{sig.q})")
+        raise InvariantViolation(f"dimension identity broken for Cl({sig.p},{sig.q})")
     return result
 
 
@@ -107,7 +107,8 @@ def even_subalgebra_generator_images(sig: Signature) -> list[Multivector]:
     else:
         anchor = negatives[-1]
         ordered = positives + [i for i in negatives if i != anchor]
-    assert len(ordered) == target.dim
+    if len(ordered) != target.dim:
+        raise InvariantViolation(f"{len(ordered)} even-map images for a target of dimension {target.dim}")
     images = []
     for i in ordered:
         sign, mask = blade_product(1 << (i - 1), 1 << (anchor - 1), sig)
@@ -118,34 +119,31 @@ def even_subalgebra_generator_images(sig: Signature) -> list[Multivector]:
 def verify_even_subalgebra_map(sig: Signature) -> bool:
     """Check the generator map behind :func:`even_subalgebra_signature`.
 
-    Verifies the target Clifford relations f_i f_j + f_j f_i = 2 sigma'(i)
-    delta_ij exactly, and that products of the images hit
-    2^(p+q-1) distinct blades, i.e. the induced map is onto the even part.
+    Each image must be a single blade +-e_M.  Verifies the target Clifford
+    relations f_i f_j + f_j f_i = 2 sigma'(i) delta_ij exactly on the blades,
+    and that products of the images hit 2^(p+q-1) distinct even blades, i.e.
+    the induced map is onto the even part.
     """
     target = even_subalgebra_signature(sig)
-    images = even_subalgebra_generator_images(sig)
-    two = Fraction(2)
-    for a in range(len(images)):
-        for b in range(len(images)):
-            anti = images[a] * images[b] + images[b] * images[a]
-            expected = (
-                Multivector.scalar(sig, two * target.sigma(a + 1)) if a == b else Multivector.zero(sig)
-            )
-            if anti != expected:
+    blades = []
+    for image in even_subalgebra_generator_images(sig):
+        if len(image) != 1:
+            return False
+        ((mask, coeff),) = image.items()
+        if coeff not in (1, -1) or blade_grade(mask) % 2:
+            return False
+        blades.append(mask)
+    # the coefficients are +-1, so they drop out of every relation
+    for a, mask_a in enumerate(blades):
+        if blade_product(mask_a, mask_a, sig)[0] != target.sigma(a + 1):
+            return False
+        for mask_b in blades[:a]:
+            if blade_product(mask_a, mask_b, sig)[0] == blade_product(mask_b, mask_a, sig)[0]:
                 return False
-    seen_masks: set[int] = set()
-    for r in range(target.dim + 1):
-        for subset in combinations(range(target.dim), r):
-            product = Multivector.scalar(sig, 1)
-            for idx in subset:
-                product = product * images[idx]
-            if len(product) != 1:
-                return False
-            (mask,) = product.masks()
-            if blade_grade(mask) % 2:
-                return False
-            seen_masks.add(mask)
-    return len(seen_masks) == 1 << (sig.dim - 1)
+    masks = [0]
+    for mask in blades:
+        masks += [m ^ mask for m in masks]
+    return len(set(masks)) == 1 << (sig.dim - 1)
 
 
 def center_structure(sig: Signature) -> str:
@@ -194,10 +192,10 @@ def unit_pair_for(sig: Signature, m: int | None = None) -> QuaternionUnitPair:
     inner = mask_from_indices(range(1, 2 * m + 1))
     phi = inner | (1 << (2 * m))
     psi = inner | (1 << (2 * m + 1))
-    phi_sq, rest = blade_product(phi, phi, sig)
-    assert rest == 0
-    psi_sq, rest = blade_product(psi, psi, sig)
-    assert rest == 0
+    phi_sq, phi_rest = blade_product(phi, phi, sig)
+    psi_sq, psi_rest = blade_product(psi, psi, sig)
+    if phi_rest or psi_rest:
+        raise InvariantViolation("a unit of the pair does not square to a scalar")
     if phi_sq < 0 and psi_sq < 0:
         kind = "quaternionic"
     elif phi_sq > 0 and psi_sq > 0:
@@ -217,11 +215,11 @@ def _check_pair_invariants(pair: QuaternionUnitPair) -> None:
             s1, m1 = blade_product(unit, gen, sig)
             s2, m2 = blade_product(gen, unit, sig)
             if m1 != m2 or s1 != s2:
-                raise AssertionError("unit pair fails to commute with inner generators")
+                raise InvariantViolation("unit pair fails to commute with inner generators")
     s1, m1 = blade_product(pair.phi, pair.psi, sig)
     s2, m2 = blade_product(pair.psi, pair.phi, sig)
     if m1 != m2 or s1 != -s2:
-        raise AssertionError("unit pair fails to anticommute")
+        raise InvariantViolation("unit pair fails to anticommute")
 
 
 def quaternion_split(
@@ -255,7 +253,7 @@ def quaternion_split(
     a3 = Multivector(sig, buckets[(True, True)]) * phi_psi.inverse()
     for part in (a1, a2, a3):
         if any(mask & ~inner_limit for mask in part.masks()):
-            raise AssertionError("split component escaped the inner subalgebra")
+            raise InvariantViolation("split component escaped the inner subalgebra")
     return a0, a1, a2, a3
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from .errors import InvariantViolation
 from .linalg import _cleared, solve_unique
 
 Rational = Union[int, Fraction]
@@ -153,7 +154,8 @@ def volume_square(sig: Signature) -> int:
     """Square of the volume element, always +1 or -1."""
     omega = volume_element(sig)
     sign, rest = blade_product(omega, omega, sig)
-    assert rest == 0
+    if rest:
+        raise InvariantViolation(f"the volume element of Cl({sig.p},{sig.q}) does not square to a scalar")
     return sign
 
 
@@ -260,15 +262,11 @@ class Multivector:
         self._check_signature(other)
         out = dict(self._terms)
         for mask, coeff in other._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + coeff
-        return Multivector(self.signature, out)
+            out[mask] = out.get(mask, _ZERO) + coeff
+        return Multivector._from_terms(self.signature, {m: c for m, c in out.items() if c})
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check_signature(other)
-        out = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            out[mask] = out.get(mask, Fraction(0)) - coeff
-        return Multivector(self.signature, out)
+        return self + -other
 
     def __neg__(self) -> "Multivector":
         return Multivector._from_terms(self.signature, {m: -c for m, c in self._terms.items()})

@@ -381,11 +381,14 @@ def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
     return {r: value for r, value in out.items() if value}
 
 
+def annihilates(x: Coords, a: SpinorCoords) -> bool:
+    """Whether Xi(x) a = 0, decided on integer multiples of x and a."""
+    return not _xi_apply(x, {j: c for j, c in enumerate(_cleared(a.values)[0]) if c})
+
+
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
-    # Xi(x) a = 0 exactly when it holds for integer multiples of x and a
-    values = {j: c for j, c in enumerate(_cleared(a.values)[0]) if c}
     for point in g.basis:
-        if _xi_apply(point, values):
+        if not annihilates(point, a):
             raise InvariantViolation(
                 f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )

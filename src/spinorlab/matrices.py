@@ -216,7 +216,8 @@ def _check_coords(n: int, x: Sequence[Rational]) -> list[Fraction]:
 
 @lru_cache(maxsize=None)
 def build_xi_symbolic(n: int) -> XiMatrix:
-    """Symbolic point matrix by the 2x2 block recursion."""
+    """Symbolic point matrix by the 2x2 block recursion, with Xi^2 = Q(x) I
+    decided once per rank: a failing build raises and nothing is cached."""
     _check_rank(n)
     rows: list[list[Poly]] = [[Poly.var("x0")]]
     for level in range(1, n + 1):
@@ -230,7 +231,9 @@ def build_xi_symbolic(n: int) -> XiMatrix:
         for r in range(h):
             new_rows.append([minus if c == r else zero for c in range(h)] + list(rows[r]))
         rows = new_rows
-    return XiMatrix(n, tuple(tuple(row) for row in rows), symbolic=True)
+    xi = XiMatrix(n, tuple(tuple(row) for row in rows), symbolic=True)
+    xi.verify_square_identity()
+    return xi
 
 
 def build_xi(x: Sequence[Rational]) -> XiMatrix:

@@ -366,8 +366,9 @@ def _skew_table(
         for (i, j), value in skew.items():
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad grade-2 index pair ({i},{j})")
-            table[i - 1][j - 1] = Fraction(value)
-            table[j - 1][i - 1] = -Fraction(value)
+            value = Fraction(value)
+            table[i - 1][j - 1] = value
+            table[j - 1][i - 1] = -value
         return table
     rows = [list(map(Fraction, row)) for row in skew]
     if len(rows) != n or any(len(row) != n for row in rows):

@@ -11,6 +11,11 @@ Its Clifford product, Pfaffian table, relation residuals, completion and
 spin norm run on integer numerators over a common denominator.  The
 ``Fraction``-per-step routes below are the ones they replaced, kept to
 check them bit for bit.
+
+The CLI decides Xi(x) a = 0 in integers through the blade images, and the
+even-subalgebra map on blade masks and signs.  The ``Fraction`` dot product
+with the generator rows and the ``Multivector``-product check are the routes
+they replaced.
 """
 
 from fractions import Fraction
@@ -18,8 +23,10 @@ from itertools import combinations
 from math import prod
 
 from spinorlab import linalg
+from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
+from spinorlab.geometry import generator_rows
 from spinorlab.poly import Poly
 
 
@@ -177,3 +184,37 @@ def spin_norm(s):
         sign = blade_product(mask, mask, sig)[0]
         diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
     return total, diagonal
+
+
+def generator_rows_annihilate(x, a):
+    """Xi(x) a = 0 exactly when every generator row of a vanishes at x."""
+    return all(sum(c * v for c, v in zip(row, x)) == 0 for row in generator_rows(a))
+
+
+def even_map_by_products(sig, images):
+    """The even-subalgebra map check by products of the images: the target
+    Clifford relations f_i f_j + f_j f_i = 2 sigma'(i) delta_ij, then a single
+    even blade from every subset product, 2^(p+q-1) of them distinct."""
+    target = even_subalgebra_signature(sig)
+    two = Fraction(2)
+    for a in range(len(images)):
+        for b in range(len(images)):
+            anti = images[a] * images[b] + images[b] * images[a]
+            expected = (
+                Multivector.scalar(sig, two * target.sigma(a + 1)) if a == b else Multivector.zero(sig)
+            )
+            if anti != expected:
+                return False
+    seen_masks = set()
+    for r in range(target.dim + 1):
+        for subset in combinations(range(target.dim), r):
+            product = Multivector.scalar(sig, 1)
+            for idx in subset:
+                product = product * images[idx]
+            if len(product) != 1:
+                return False
+            (mask,) = product.masks()
+            if blade_grade(mask) % 2:
+                return False
+            seen_masks.add(mask)
+    return len(seen_masks) == 1 << (sig.dim - 1)

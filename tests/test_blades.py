@@ -367,15 +367,19 @@ def test_product_is_bit_equal_to_the_fraction_oracle(data):
 @given(st.data())
 def test_products_that_cancel_store_no_terms(data):
     """A null vector n = e_i + e_j with e_i^2 = 1 and e_j^2 = -1 squares to 0,
-    so (m n) n cancels term by term; scaling by 0 stores nothing either."""
+    so (m n) n cancels term by term; scaling by 0 stores nothing either, and
+    neither do the terms that cancel in a sum or difference."""
     sig = data.draw(signatures(min_dim=2).filter(lambda s: s.p and s.q))
     m = data.draw(multivectors(sig))
     sigmas = sig.sigmas()
     i, j = sigmas.index(1), sigmas.index(-1)
     null = Multivector(sig, {1 << i: 1, 1 << j: 1})
-    for zero in ((m * null) * null, null * null, m * 0, m * Fraction(0), 0 * m):
+    for zero in ((m * null) * null, null * null, m * 0, m * Fraction(0), 0 * m, m - m, m + -m):
         assert zero.is_zero() and len(zero) == 0 and zero == Multivector.zero(sig)
     assert bits(dense.product(m * null, null)) == []
+    partial = (m + null) - m
+    assert partial == null and len(partial) == 2
+    assert_stored_terms_are_nonzero_fractions(partial)
 
 
 @pytest.mark.parametrize("sig", [CL20, CL11, Signature(0, 2), Signature(2, 2, INTERLEAVED)], ids=str)

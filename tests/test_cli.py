@@ -13,10 +13,22 @@ from pathlib import Path
 
 import pytest
 
+import spinorlab.atlas
 import spinorlab.cli
+import spinorlab.matrices
 import spinorlab.spin
-from spinorlab import Multivector, Signature, SpinElement, build_xi, build_xi_symbolic, check_relations
+from spinorlab import (
+    InvariantViolation,
+    Multivector,
+    Signature,
+    SpinElement,
+    build_xi,
+    build_xi_symbolic,
+    check_relations,
+)
 from spinorlab.geometry import SpinorCoords, independent_system, normalize
+
+from dense import generator_rows_annihilate
 
 GOLDEN_DIR = Path(os.environ.get("SPINORLAB_GOLDEN_DIR", Path(__file__).parent / "golden"))
 
@@ -79,6 +91,67 @@ def test_kernel_worked_point():
     assert payload["kernel_dimension"] == 2
     assert payload["basis"][0] == {"a": "1", "a1": "0", "a2": "0", "a12": "0"}
     assert payload["basis"][1] == {"a": "0", "a1": "0", "a2": "1", "a12": "0"}
+
+
+def main_in_process(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = spinorlab.cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_kernel_verdict_fails_on_a_vector_the_point_does_not_kill(monkeypatch):
+    x = [Fraction(v) for v in (0, 1, 1, 0, 0)]
+    kernel_spinors = spinorlab.cli.kernel_spinors
+
+    def perturbed(point):
+        basis = kernel_spinors(point)
+        values = list(basis[-1].values)
+        values[1] += 1
+        basis[-1] = SpinorCoords(2, values)
+        return basis
+
+    monkeypatch.setattr(spinorlab.cli, "kernel_spinors", perturbed)
+    assert not generator_rows_annihilate(x, perturbed(x)[-1])
+    code, out, err = main_in_process(["kernel", "--n", "2", "--x", "0,1,1,0,0"])
+    assert code == 2 and err == ""
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts == {"point_on_absolute": True, "dimension_is_2_pow_n_minus_1": True, "basis_annihilated": False}
+
+
+def test_symbolic_square_is_decided_once_per_rank_and_still_bites(monkeypatch):
+    build_xi_symbolic.cache_clear()
+    try:
+        ranks = []
+        verify = spinorlab.matrices._verify_symbolic_square
+
+        def counted(xi):
+            ranks.append(xi.n)
+            verify(xi)
+
+        monkeypatch.setattr(spinorlab.matrices, "_verify_symbolic_square", counted)
+        for _ in range(3):
+            assert main_in_process(["xi", "--n", "3"])[0] == 0
+        assert ranks == [3]
+
+        def broken(xi):
+            raise InvariantViolation("symbolic point-matrix square identity failed")
+
+        monkeypatch.setattr(spinorlab.matrices, "_verify_symbolic_square", broken)
+        for argv in (["xi", "--n", "2"], ["xi", "--n", "2", "--x", "1,1,1,0,0"], ["xi", "--n", "2"]):
+            code, out, err = main_in_process(argv)
+            assert (code, out) == (2, ""), argv
+            assert err == "invariant violation: symbolic point-matrix square identity failed\n", argv
+    finally:
+        build_xi_symbolic.cache_clear()
+
+
+def test_broken_period_table_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setitem(spinorlab.atlas._MOD8_TABLE, 0, ("C", 1, 0))
+    code, out, err = main_in_process(["classify", "--p", "2", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert err == "invariant violation: dimension identity broken for Cl(2,2)\n"
 
 
 def test_kernel_rejects_off_quadric_point():

@@ -29,10 +29,10 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, _verify_spinor_matches, generator_rows
+from spinorlab.geometry import _primitive, _verify_spinor_matches, annihilates, generator_rows
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 
-from dense import mat_eq, mat_mul
+from dense import generator_rows_annihilate, mat_eq, mat_mul
 
 
 def frac(values):
@@ -142,6 +142,25 @@ def test_kernel_at_large_rank_within_budget(n):
     xi_rows = build_xi(x).rows()
     for vec in (basis[0], basis[-1]):
         assert all(v == 0 for v in linalg.mat_vec(xi_rows, vec.values))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_annihilates_agrees_with_the_generator_rows(n):
+    # kernel vectors, and each with one coordinate changed, at points with
+    # rational coordinates
+    rng = random.Random(900 + n)
+    killed = spared = 0
+    for _ in range(3):
+        x = random_absolute_point(n, rng)
+        for vec in kernel_spinors(x):
+            values = list(vec.values)
+            values[rng.randrange(len(values))] += Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            assert annihilates(x, vec) and generator_rows_annihilate(x, vec)
+            changed = SpinorCoords(n, values)
+            verdict = annihilates(x, changed)
+            assert verdict == generator_rows_annihilate(x, changed)
+            killed, spared = killed + verdict, spared + (not verdict)
+    assert spared > killed
 
 
 # -- spinor coordinates ----------------------------------------------------------
