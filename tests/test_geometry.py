@@ -149,7 +149,7 @@ def test_annihilates_agrees_with_the_generator_rows(n):
     # kernel vectors, and each with one coordinate changed, at points with
     # rational coordinates
     rng = random.Random(900 + n)
-    killed = spared = 0
+    still_killed = rejected = 0
     for _ in range(3):
         x = random_absolute_point(n, rng)
         for vec in kernel_spinors(x):
@@ -159,8 +159,9 @@ def test_annihilates_agrees_with_the_generator_rows(n):
             changed = SpinorCoords(n, values)
             verdict = annihilates(x, changed)
             assert verdict == generator_rows_annihilate(x, changed)
-            killed, spared = killed + verdict, spared + (not verdict)
-    assert spared > killed
+            still_killed += verdict
+            rejected += not verdict
+    assert rejected > still_killed
 
 
 # -- spinor coordinates ----------------------------------------------------------
