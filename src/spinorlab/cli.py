@@ -30,8 +30,9 @@ from .geometry import (
     motion_on_points,
     motion_on_spinors,
     normalize,
+    spinor_image,
 )
-from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form, rep_multivector
+from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
@@ -241,13 +242,10 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         report["y"] = y
         verdicts["form_preserved"] = quadratic_form(y) == quadratic_form(x)
         if quadratic_form(x) == 0 and any(x):
-            kernel_x = kernel_spinors(x)
-            kernel_y = kernel_spinors(y)
-            rep = rep_multivector(element.value, args.n)
-            mapped = [linalg.mat_vec(rep, vec.values) for vec in kernel_x]
-            verdicts["kernel_equivariance"] = linalg.same_row_space(
-                mapped, [list(vec.values) for vec in kernel_y]
-            )
+            # s x = y s is exact and E_0 central, so Xi(y) rep(s) = rep(s) Xi(x): Xi(y) is similar to the checked Xi(x)
+            mapped = [spinor_image(element.value, vec) for vec in kernel_spinors(x)]
+            full_rank = linalg.rank([vec.values for vec in mapped]) == 1 << (args.n - 1)
+            verdicts["kernel_equivariance"] = full_rank and all(annihilates(y, vec) for vec in mapped)
     else:
         spinor = _parse_spinor(args.n, args.a)
         moved = motion_on_spinors(element, spinor)

@@ -11,9 +11,9 @@ solution set is a maximal isotropic subspace of projective dimension n-1.
 The representing spinor is determined by the generator up to scale, and up
 to sign once normalized: it is Chevalley's pure spinor, the product
 Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
-directions of the correspondence live here, with the motions on points and
-on spinors.  A spin element moves a point by rotating (x^1..x^{2n}) in the
-algebra with x^0 fixed, and a spinor by its matrix image.
+directions live here, with the motions: a spin element rotates (x^1..x^{2n})
+in the algebra with x^0 fixed, and moves a spinor by its matrix image, the
+same integer sum of signed permutations that applies Xi(x) to a spinor.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import linalg
 from .blades import Multivector, Rational, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 from .linalg import _cleared
-from .matrices import build_xi, neutral_signature, point_blade_images, quadratic_form, rep_multivector
+from .matrices import SignedPerm, blade_image, build_xi, neutral_signature, point_blade_images, quadratic_form
 from .spin import SpinElement, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
 Coords = Sequence[Rational]
@@ -363,17 +363,18 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
         for mask in range(1 << n):
             vector = {mask: 1}
             for point in reversed(points[:n]):
-                vector = _xi_apply(point, vector)
+                vector = _signed_sum(zip(point_blade_images(n), _cleared(point)[0]), vector)
             if vector:
                 return [vector.get(r, 0) for r in range(1 << n)]
     raise ValueError("plane does not determine a unique spinor ray")
 
 
-def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
-    """Xi(x) v = sum_i x^i E_i v in integers, for a sparse integer v and the
-    point x scaled by the lcm of its denominators; zero entries are dropped."""
+def _signed_sum(terms: Iterable[tuple[SignedPerm, int]], vector: Mapping[int, int]) -> dict[int, int]:
+    """sum_k c_k P_k v in integers over signed permutations P_k, for a sparse
+    integer v, with zero entries dropped: the one spinor action.  Xi(x) v sums
+    over (E_i, x^i) and rep(m) a over (B_M, c_M), on integer multiples."""
     out: dict[int, int] = {}
-    for image, c in zip(point_blade_images(len(point) // 2), _cleared(point)[0]):
+    for image, c in terms:
         if c:
             for j, value in vector.items():
                 r = image.perm[j]
@@ -381,9 +382,21 @@ def _xi_apply(point: Coords, vector: Mapping[int, int]) -> dict[int, int]:
     return {r: value for r, value in out.items() if value}
 
 
+def spinor_image(m: Multivector, a: SpinorCoords) -> SpinorCoords:
+    """rep(m) a for m in the interleaved (n,n) algebra, bit-equal to the dense
+    rep_multivector(m, n) times a, with one ``Fraction`` per coordinate."""
+    if m.signature != neutral_signature(a.n):
+        raise ValueError(f"element must live in the interleaved ({a.n},{a.n}) algebra")
+    terms, m_scale = m._cleared_terms()
+    values, a_scale = _cleared(a.values)
+    image = _signed_sum(((blade_image(a.n, mask), c) for mask, c in terms), {j: v for j, v in enumerate(values) if v})
+    return SpinorCoords(a.n, [Fraction(image.get(r, 0), m_scale * a_scale) for r in range(1 << a.n)])
+
+
 def annihilates(x: Coords, a: SpinorCoords) -> bool:
     """Whether Xi(x) a = 0, decided on integer multiples of x and a."""
-    return not _xi_apply(x, {j: c for j, c in enumerate(_cleared(a.values)[0]) if c})
+    point = zip(point_blade_images(len(x) // 2), _cleared(x)[0])
+    return not _signed_sum(point, {j: c for j, c in enumerate(_cleared(a.values)[0]) if c})
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
@@ -451,8 +464,6 @@ def motion_on_points(s: SpinElement, x: Coords) -> list[Fraction]:
     coords = [Fraction(v) for v in x]
     if len(coords) != 2 * n + 1:
         raise ValueError(f"expected {2 * n + 1} coordinates, got {len(coords)}")
-    if not is_spin_plus(s):
-        raise ValueError("motions need a spin element of norm +1")
     turned = _rotate(s.value, Multivector.vector(s.signature, coords[1:]), 1)
     return [coords[0], *turned.vector_coords()]
 
@@ -461,6 +472,8 @@ def _motion_rank(s: SpinElement) -> int:
     sig = s.signature
     if sig != neutral_signature(sig.p):
         raise ValueError("motions live in the interleaved (n,n) algebra")
+    if not is_spin_plus(s):
+        raise ValueError("motions need a spin element of norm +1")
     return sig.p
 
 
@@ -469,6 +482,4 @@ def motion_on_spinors(s: SpinElement, a: SpinorCoords) -> SpinorCoords:
     n = _motion_rank(s)
     if a.n != n:
         raise ValueError("spinor rank differs from the element's rank")
-    if not is_spin_plus(s):
-        raise ValueError("motions need a spin element of norm +1")
-    return SpinorCoords(n, linalg.mat_vec(rep_multivector(s.value, n), a.values))
+    return spinor_image(s.value, a)

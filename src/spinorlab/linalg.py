@@ -2,9 +2,9 @@
 
 Matrices are lists of row lists, and nothing here mutates its arguments.
 :func:`rref` eliminates fraction-free on primitive integer rows and turns
-to ``Fraction`` once, at the end; :func:`det` stays plain ``Fraction``
-elimination.  Pivoting is deterministic (first nonzero entry in column
-order), which fixes echelon forms and null-space bases bit for bit.
+to ``Fraction`` once, at the end.  Pivoting is deterministic (first nonzero
+entry in column order), which fixes echelon forms and null-space bases bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ Vector = list[Fraction]
 
 def zeros(n_rows: int, n_cols: int) -> Matrix:
     return [[Fraction(0)] * n_cols for _ in range(n_rows)]
-
-
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return [sum((c * v[j] for j, c in enumerate(row) if c), Fraction(0)) for row in a]
 
 
 def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
@@ -130,29 +126,6 @@ def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     for row_idx, piv in enumerate(pivots):
         solution[piv] = reduced[row_idx][n_cols]
     return solution
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
 
 
 def same_row_space(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:

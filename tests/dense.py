@@ -16,6 +16,12 @@ The CLI decides Xi(x) a = 0 in integers through the blade images, and the
 even-subalgebra map on blade masks and signs.  The ``Fraction`` dot product
 with the generator rows and the ``Multivector``-product check are the routes
 they replaced.
+
+A spinor is moved by a signed-permutation sum in integers, and the motion's
+kernel verdict maps the kernel at x and tests it against the point y.  The
+dense image ``rep_multivector`` times a ``Fraction`` vector, and the kernel
+at y compared by row space, are the routes they replaced.  ``det`` is the
+plain ``Fraction`` elimination behind Pf^2 = det.
 """
 
 from fractions import Fraction
@@ -26,7 +32,8 @@ from spinorlab import linalg
 from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
-from spinorlab.geometry import generator_rows
+from spinorlab.geometry import generator_rows, kernel_spinors
+from spinorlab.matrices import rep_multivector
 from spinorlab.poly import Poly
 
 
@@ -60,6 +67,42 @@ def mat_mul(a, b):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
+
+
+def mat_vec(a, v):
+    return [sum((c * v[j] for j, c in enumerate(row) if c), Fraction(0)) for row in a]
+
+
+def det(rows):
+    """Determinant by fraction-exact Gaussian elimination."""
+    m = [list(map(Fraction, row)) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant needs a square matrix")
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            result = -result
+        result *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return result
+
+
+def dense_kernel_equivariance(s, x, y):
+    """Whether the dense image rep(s) maps the kernel at x onto the kernel at y,
+    compared by row space."""
+    n = s.signature.p
+    rep = rep_multivector(s.value, n)
+    mapped = [mat_vec(rep, vec.values) for vec in kernel_spinors(x)]
+    return linalg.same_row_space(mapped, [list(vec.values) for vec in kernel_spinors(y)])
 
 
 def verify_symbolic_square(xi):

@@ -23,7 +23,6 @@ from spinorlab import (
     generator_to_spinor,
     independent_system,
     kernel_spinors,
-    linalg,
     motion_on_points,
     neutral_signature,
     quadratic_form,
@@ -35,7 +34,7 @@ from spinorlab.atlas import factorization_class, karoubi_factorization, verify_e
 from spinorlab.geometry import _primitive, generator_rows
 from spinorlab.poly import Poly
 
-from dense import mat_eq, mat_mul
+from dense import dense_kernel_equivariance, mat_eq, mat_mul
 from polyparts import coefficient_of_var, divide_by_var, without_var
 
 
@@ -343,10 +342,7 @@ def test_criterion_7_equivariance():
             x = random_absolute_point(n, rng)
             y = motion_on_points(s, x)
             assert quadratic_form(y) == quadratic_form(x) == 0
-            rep = rep_multivector(s.value, n)
-            mapped = [linalg.mat_vec(rep, vec.values) for vec in kernel_spinors(x)]
-            target = [list(vec.values) for vec in kernel_spinors(y)]
-            assert linalg.same_row_space(mapped, target)
+            assert dense_kernel_equivariance(s, x, y)
             # generic points too: exact form preservation
             z = [Fraction(rng.randint(-4, 4)) for _ in range(2 * n + 1)]
             assert quadratic_form(motion_on_points(s, z)) == quadratic_form(z)

@@ -252,6 +252,26 @@ def test_motion_with_explicit_element():
     assert payload["verdicts"]["kernel_equivariance"] is True
 
 
+def test_kernel_equivariance_fails_when_the_point_is_not_moved(monkeypatch):
+    # the rotor turns (0,1,1,0,0) off its own ray, so its image of the kernel
+    # at x is not killed by x itself
+    argv = ["motion", "--n", "2", "--s", "3/5 + 4/5*e13", "--x", "0,1,1,0,0"]
+    assert main_in_process(argv)[0] == 0
+    monkeypatch.setattr(spinorlab.cli, "motion_on_points", lambda s, x: list(x))
+    code, out, err = main_in_process(argv)
+    assert code == 2 and err == ""
+    assert json.loads(out)["verdicts"] == {"form_preserved": True, "kernel_equivariance": False}
+
+
+def test_kernel_equivariance_fails_on_images_of_low_rank(monkeypatch):
+    # zero images are killed by every point, so only the rank test can fail
+    argv = ["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"]
+    monkeypatch.setattr(spinorlab.cli, "spinor_image", lambda m, a: SpinorCoords(a.n, [0] * (1 << a.n)))
+    code, out, err = main_in_process(argv)
+    assert code == 2 and err == ""
+    assert json.loads(out)["verdicts"] == {"form_preserved": True, "kernel_equivariance": False}
+
+
 def test_xi_float_mode():
     result = run_cli("xi", "--n", "1", "--x", "1/2,0,0", "--mode", "float")
     payload = json.loads(result.stdout)
@@ -334,8 +354,9 @@ def test_each_element_is_verified_once(monkeypatch, argv):
     [
         (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 3),
         (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 2),
+        (["motion", "--n", "3", "--seed", "5", "--a", "1,1,0,2,0,1,1"], 2),
     ],
-    ids=["spin_check", "motion_seeded"],
+    ids=["spin_check", "motion_seeded", "motion_seeded_spinor"],
 )
 def test_norm_reads_per_command(monkeypatch, argv, reads):
     # spin-check: check_relations, is_spin (which keeps the verdict) and

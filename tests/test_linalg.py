@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spinorlab import linalg
 
-from dense import identity, mat_eq, mat_mul
+from dense import det, identity, mat_eq, mat_mul, mat_vec
 
 
 def frac_rows(rows):
@@ -39,7 +39,7 @@ def test_null_space_vectors_annihilate():
         basis = linalg.null_space(rows)
         assert len(basis) == 6 - linalg.rank(rows)
         for vec in basis:
-            assert all(v == 0 for v in linalg.mat_vec(rows, vec))
+            assert all(v == 0 for v in mat_vec(rows, vec))
 
 
 def test_solve_unique():
@@ -51,12 +51,12 @@ def test_solve_unique():
 
 
 def test_det():
-    assert linalg.det(frac_rows([[1, 2], [3, 4]])) == -2
-    assert linalg.det(frac_rows([[1, 2], [2, 4]])) == 0
+    assert det(frac_rows([[1, 2], [3, 4]])) == -2
+    assert det(frac_rows([[1, 2], [2, 4]])) == 0
     rng = random.Random(3)
     a = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
     b = [[Fraction(rng.randint(-4, 4)) for _ in range(4)] for _ in range(4)]
-    assert linalg.det(mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
+    assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
 def test_mat_mul_identity():
@@ -175,12 +175,12 @@ def test_eliminations_agree_with_oracle_values():
         if len(rows) == len(rows[0]):
             rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
             solution = linalg.solve_unique(rows, rhs)
-            if linalg.det(rows) == 0:
+            if det(rows) == 0:
                 assert solution is None
             else:
                 reduced, _ = oracle_rref([list(row) + [b] for row, b in zip(rows, rhs)])
                 assert solution == [row[-1] for row in reduced]
-                assert linalg.mat_vec(rows, solution) == rhs
+                assert mat_vec(rows, solution) == rhs
 
 
 _entries = st.one_of(
@@ -213,4 +213,4 @@ def test_eliminations_match_sympy():
         assert linalg.rref(rows) == (fractions(expected), list(pivots))
         assert linalg.null_space(rows) == [[v for (v,) in fractions(vec)] for vec in matrix.nullspace()]
         if len(rows) == len(rows[0]):
-            assert linalg.det(rows) == fraction(matrix.det())
+            assert det(rows) == fraction(matrix.det())

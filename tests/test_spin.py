@@ -27,13 +27,12 @@ from spinorlab import (
     spin_from_vectors,
     spin_norm,
 )
-from spinorlab import linalg
 from spinorlab.blades import MAX_DIM, blade_product
 from spinorlab.errors import InvariantViolation
 from spinorlab.spin import _rotate, completed_coords, pfaffians, random_unit_vector, relation_residuals, vector_norm
 
 import dense
-from dense import skew_table
+from dense import det, skew_table
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -115,7 +114,7 @@ def test_pfaffian_table_squares_to_determinants():
             assert pf == 0
             continue
         assert pf == pfaffian(skew, idx)
-        assert pf**2 == linalg.det([[skew[i][j] for j in idx] for i in idx])
+        assert pf**2 == det([[skew[i][j] for j in idx] for i in idx])
 
 
 def test_pfaffian_rejects_tables_beyond_max_dim():
@@ -129,7 +128,7 @@ def test_reconstruction_completes_at_max_dim():
     element = reconstruct_from_low_grade(1, skew, Signature(8, 8))
     top = element.value.coefficient((1 << MAX_DIM) - 1)
     assert top != 0
-    assert top**2 == linalg.det(skew)
+    assert top**2 == det(skew)
     report = check_relations(element)
     assert report.relations_ok
     assert report.spin == (report.norm in (1, -1))
@@ -583,7 +582,7 @@ def test_pfaffian_squares_to_determinant_on_mixed_denominators(table):
     pfs = pfaffians(table)
     for size in range(0, len(table) + 1, 2):
         minor = [row[:size] for row in table[:size]]
-        assert pfs[(1 << size) - 1] ** 2 == linalg.det(minor)
+        assert pfs[(1 << size) - 1] ** 2 == det(minor)
 
 
 @settings(max_examples=80, deadline=None)
