@@ -3,11 +3,13 @@
 Points carry homogeneous coordinates x^0..x^{2n}; the absolute is the
 quadric Q(x) = 0 of the alternating form.  An absolute point's matrix
 Xi(x) squares to zero, so it kills a 2^(n-1)-dimensional space of real
-spinors.  Conversely a spinor a whose coordinates satisfy the Pfaffian
-relations (after renaming odd-index coordinates a^{i1..ik} to
-a^{i1..ik,n+1}) cuts the plane generator {x : Xi(x) a = 0} out of the
-absolute: of its 2^n linear equations only n+1 are independent, and the
-solution set is a maximal isotropic subspace of projective dimension n-1.
+spinors.  Conversely a pure spinor a cuts the plane generator
+{x : Xi(x) a = 0} out of the absolute: of its 2^n linear equations only n+1
+are independent, and the solution set is a maximal isotropic subspace of
+projective dimension n-1.  Purity is decided by the one chart-and-relations
+test of the spin module: renaming odd-index coordinates a^{i1..ik} to
+a^{i1..ik,n+1} makes a an even element of rank n+1, whose chart must obey
+the Pfaffian relations, exactly as a spin element's does.
 The representing spinor is determined by the generator up to scale, and up
 to sign once normalized: it is Chevalley's pure spinor, the product
 Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
@@ -26,11 +28,11 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .blades import Multivector, Rational, blade_indices, mask_from_indices
+from .blades import Multivector, Rational, Signature, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 from .linalg import _cleared
 from .matrices import SignedPerm, blade_image, build_xi, neutral_signature, point_blade_images, quadratic_form
-from .spin import SpinElement, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
+from .spin import SpinElement, _chart, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
 Coords = Sequence[Rational]
 
@@ -66,7 +68,8 @@ class SpinorCoords:
     Index sets are subsets of {1..n} encoded as masks, listed in mask
     order.  Renaming odd-size sets S to S + {n+1} turns the list into the
     even coordinates of a rank-(n+1) algebra element; the coordinate
-    relations of spin elements are checked through that renaming.
+    relations of spin elements are checked through that renaming.  Values
+    that are already ``Fraction`` are kept; others are converted.
     """
 
     __slots__ = ("n", "values")
@@ -75,7 +78,7 @@ class SpinorCoords:
         if len(values) != 1 << n:
             raise ValueError(f"rank {n} spinors have {1 << n} coordinates, got {len(values)}")
         self.n = n
-        self.values = [Fraction(v) for v in values]
+        self.values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
 
     @classmethod
     def from_low_grade(
@@ -105,13 +108,17 @@ class SpinorCoords:
         return all(v == 0 for v in self.values)
 
     def relation_residuals(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Residuals of the renamed coordinate relations; all zero on
-        generator representatives."""
+        """Residuals of the coordinate relations of the renamed element's
+        chart (``spin._chart``); all zero exactly on pure spinors.
+
+        The renamed element is built in Cl(n+1, 0).  Right multiplication by
+        a blade maps the relation variety into itself in every signature, so
+        the choice of signature does not change the verdict.  With a nonzero
+        scalar the chart is the renamed element itself.
+        """
         n = self.n
-        renamed = [Fraction(0)] * (2 << n)
-        for mask, value in enumerate(self.values):
-            renamed[_renamed(mask, n)] = value
-        return relation_residuals(renamed.__getitem__, n + 1)
+        terms = {_renamed(mask, n): value for mask, value in enumerate(self.values) if value}
+        return relation_residuals(_chart(Multivector._from_terms(Signature(n + 1, 0), terms)).coefficient, n + 1)
 
     def satisfies_relations(self) -> bool:
         return all(value == 0 for _, value in self.relation_residuals())
@@ -222,8 +229,9 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     Rows are scanned in coordinate-mask order and kept exactly when
     independent of those already kept; for spinors with nonzero scalar
     coordinate this keeps precisely the rows b, b^1, ..., b^n.  The
-    coordinate relations must hold (the remaining rows are then consequences
-    of the kept ones); violating spinors are rejected.
+    spinor must be pure, its chart obeying the coordinate relations (the
+    remaining rows are then consequences of the kept ones); other spinors
+    are rejected with a ValueError, before any row is reduced.
     """
     if a.is_zero():
         raise ValueError("the zero spinor does not define a generator")
@@ -342,8 +350,6 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
             _verify_spinor_matches(spinor, g)
             return spinor
     spinor = SpinorCoords(n, _primitive(product))
-    if not spinor.satisfies_relations():
-        raise ValueError("plane is not a generator of the spinor family")
     induced = independent_system(spinor)
     if not linalg.same_row_space([list(r) for r in induced.equations], [list(r) for r in g.equations]):
         raise ValueError("inconsistent system: plane differs from the spinor's generator")

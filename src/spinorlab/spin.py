@@ -22,12 +22,18 @@ case comes from Chevalley's product instead.  Every Pfaffian is read from
 one table over index masks (:func:`pfaffians`), built in a single pass.
 
 Each element is verified once.  A :class:`SpinElement` is immutable and
-keeps only its Lipschitz verdict.  :func:`spin_norm` is the one computation
-of N(s); both of its routes read the element's own terms, since only a blade
-times itself reaches the scalar blade.  A verified element has
-s^-1 = reverse(s) / N(s), so no action inverts it.  A rotation reads only the
-grade-1 coefficients of (s x) reverse(s) / N and checks s x = y s exactly;
-the point motions of the geometry module are these rotations.
+keeps two values, each decided in one place: N(s), read once through
+:func:`spin_norm`, and its Lipschitz verdict, N(s) != 0 and the relations
+of its chart.  The chart (:func:`_chart`) is the one chart-and-relations
+decision: the Lipschitz verdicts and the purity of a spinor in the geometry
+module both read it.  With a nonzero scalar an element is its own chart, so
+:func:`check_relations` seeds the verdict from its own residuals.
+:func:`spin_norm` is the one computation of N(s); both of its routes read the
+element's own terms, since only a blade times itself reaches the scalar
+blade.  A verified element has s^-1 = reverse(s) / N(s), so no action
+inverts it.  A rotation reads only the grade-1 coefficients of
+(s x) reverse(s) / N and checks s x = y s exactly; the point motions of the
+geometry module are these rotations.
 
 Coordinates are stored as ``Fraction``.  The Pfaffian table, the relation
 residuals, the completion, the spin norm and the rotation accumulate
@@ -53,30 +59,38 @@ from .linalg import _cleared
 class SpinElement:
     """Even multivector together with coordinate access a^{i1..i2k}.
 
-    Immutable: ``value`` cannot be reassigned, so the Lipschitz verdict,
-    the only thing it keeps, never goes stale.  Threads racing on first use
-    only repeat the same computation.
+    Immutable: ``value`` cannot be reassigned, so N(s) and the Lipschitz
+    verdict, the two things it keeps, never go stale.  Threads racing on
+    first use only repeat the same computation.
     """
 
-    __slots__ = ("_value", "_lipschitz")
+    __slots__ = ("_value", "_norm", "_lipschitz")
 
     def __init__(self, value: Multivector):
         if not value.is_even():
             raise ValueError("spin elements must be even")
         self._value = value
+        self._norm: Fraction | None = None
         self._lipschitz: bool | None = None
 
     @property
     def value(self) -> Multivector:
         return self._value
 
+    def norm(self) -> Fraction:
+        """N(s), read once through :func:`spin_norm`; kept."""
+        if self._norm is None:
+            self._norm = spin_norm(self)
+        return self._norm
+
     def lipschitz(self) -> bool:
-        """Verdict of :func:`is_lipschitz`, False when s is singular; kept."""
+        """N(s) != 0 and the chart of s obeys the relations; kept.
+
+        This is :func:`is_lipschitz` with False where it raises on a
+        singular s.
+        """
         if self._lipschitz is None:
-            try:
-                self._lipschitz = is_lipschitz(self._value)
-            except ValueError:
-                self._lipschitz = False
+            self._lipschitz = self.norm() != 0 and _obeys_relations(_chart(self._value))
         return self._lipschitz
 
     @property
@@ -185,29 +199,44 @@ def spin_norm(s: SpinElement) -> Fraction:
     return Fraction(total, scale * scale)
 
 
-def is_lipschitz(s: Multivector, *, _norm_read: bool = False) -> bool:
+def _chart(s: Multivector) -> Multivector:
+    """s e_M for the lowest blade e_M of a homogeneous s; s itself when its
+    scalar is nonzero, or when s is zero.
+
+    The chart has a nonzero scalar, and s is Lipschitz (or a pure spinor)
+    exactly when its chart is: right multiplication by a blade maps the
+    relation variety into itself in every signature.
+    """
+    low = min(s.masks(), default=0)
+    return s * Multivector.blade(s.signature, low) if low else s
+
+
+def _obeys_relations(t: Multivector) -> bool:
+    """Whether every relation residual of t is zero, in one pass."""
+    return not any(value for _, _, value in _residual_numerators(t.coefficient, t.signature.dim)[0])
+
+
+def is_lipschitz(s: Multivector) -> bool:
     """True when s e_i s^-1 is pure grade 1 for every generator.
 
     A homogeneous s is decided without inverting or conjugating.  It is
-    Lipschitz exactly when t = s e_M is, with e_M its lowest blade; t is even
-    with a nonzero scalar a, so it is Lipschitz exactly when its coordinates
-    obey the Pfaffian relations, t = a exp_wedge(A / a), and N(t) != 0.  A
-    mixed s passes only in odd dimension, where the volume element w is
-    central, and then exactly as (x + y w) s_0 with s_0 its even part in the
-    group: its odd part times w is a multiple of s_0.
+    Lipschitz exactly when its chart t = s e_M is (:func:`_chart`); t is
+    even with a nonzero scalar a, so it is Lipschitz exactly when its
+    coordinates obey the Pfaffian relations, t = a exp_wedge(A / a), and
+    N(t) != 0.  A mixed s passes only in odd dimension, where the volume
+    element w is central, and then exactly as (x + y w) s_0 with s_0 its
+    even part in the group: its odd part times w is a multiple of s_0.
 
     Raises ValueError when s is singular and obeys the relations, or is
     singular of mixed parity.  A singular homogeneous s that fails the
-    relations is not Lipschitz, and gives False.  ``_norm_read`` says that
-    N(s) != 0 is known; N(t) = +-N(s), so it is not read again.
+    relations is not Lipschitz, and gives False.
     """
     sig = s.signature
     if len({mask.bit_count() & 1 for mask in s.masks()}) == 1:
-        low = min(s.masks())
-        t = SpinElement(s * Multivector.blade(sig, low) if low else s)
-        if any(value for _, _, value in _residual_numerators(t.value.coefficient, sig.dim)[0]):
+        t = SpinElement(_chart(s))
+        if not _obeys_relations(t.value):
             return False
-        if not _norm_read and spin_norm(t) == 0:
+        if t.norm() == 0:
             raise ValueError("multivector is not invertible")
         return True
     s.inverse()  # raises for zero or singular input
@@ -229,17 +258,14 @@ def is_spin_plus(s: Union[SpinElement, Multivector]) -> bool:
 
 
 def _verified_norm(s: Union[SpinElement, Multivector]) -> Fraction | None:
-    """The spin norm N(s) of a spin element, None for anything else."""
+    """The spin norm N(s) of a spin element, None for anything else; reads
+    the values the element keeps."""
     if not isinstance(s, SpinElement):
         if not s.is_even():
             return None
         s = SpinElement(s)
-    norm = spin_norm(s)
-    if norm not in (1, -1):
-        return None
-    if s._lipschitz is None:
-        s._lipschitz = is_lipschitz(s.value, _norm_read=True)
-    return norm if s._lipschitz else None
+    norm = s.norm()
+    return norm if norm in (1, -1) and s.lipschitz() else None
 
 
 @dataclass(frozen=True)
@@ -310,10 +336,16 @@ def _residual_numerators(
 
 
 def check_relations(s: SpinElement) -> RelationReport:
-    """Evaluate every coordinate relation instance and the norm condition."""
+    """Evaluate every coordinate relation instance and the norm condition.
+
+    With a nonzero scalar the element is its own chart, so these residuals
+    settle its Lipschitz verdict, which is kept.
+    """
     residuals = tuple(relation_residuals(s.value.coefficient, s.signature.dim))
-    norm = spin_norm(s)
+    norm = s.norm()
     ok = all(value == 0 for _, value in residuals)
+    if s.scalar_coord():
+        s._lipschitz = ok and norm != 0
     return RelationReport(
         norm=norm,
         residuals=residuals,

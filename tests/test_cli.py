@@ -244,6 +244,16 @@ def test_motion_on_spinor():
     assert payload["verdicts"]["image_satisfies_relations"] is True
 
 
+#: a^1 = a^1234 = 1: not pure, though with a zero scalar it passes the
+#: relations unless they are read on its chart
+IMPURE_ZERO_SCALAR = "0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1"
+
+
+def test_motion_on_an_impure_spinor_has_no_relation_verdict():
+    result = run_cli("motion", "--n", "4", "--seed", "3", "--a", IMPURE_ZERO_SCALAR)
+    assert "image_satisfies_relations" not in json.loads(result.stdout)["verdicts"]
+
+
 def test_motion_with_explicit_element():
     # a boost in the interleaved (2,2) algebra: (5/4)^2 - (3/4)^2 = 1
     result = run_cli("motion", "--n", "2", "--s", "5/4 + 3/4*e12", "--x", "0,1,1,0,0")
@@ -311,8 +321,9 @@ def test_bad_input_exit_codes():
         ("kernel", "--n", "9", "--x", ",".join(["0", "1", "1"] + ["0"] * 16)),
         ("classify", "--p", "1", "--q", "1", "--out", "missing-directory/report.json"),
         ("classify", "--p", "1", "--q", "1", "--out", "."),
+        ("generator", "--n", "4", "--a", IMPURE_ZERO_SCALAR),
     ],
-    ids=["float_overflow", "rank_above_max", "out_in_missing_directory", "out_is_a_directory"],
+    ids=["float_overflow", "rank_above_max", "out_in_missing_directory", "out_is_a_directory", "impure_spinor"],
 )
 def test_bad_input_is_an_error_line_not_a_traceback(args):
     result = run_cli(*args, expect=1)
@@ -322,45 +333,50 @@ def test_bad_input_is_an_error_line_not_a_traceback(args):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, passes",
     [
-        ["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"],
-        ["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"],
+        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 1),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 1),
+        (["generator", "--n", "3", "--a", "2,1,0,-1,1,1/2,3"], 1),
+        (["generator", "--n", "3", "--a", "0,1,0,2,0,3,0,0"], 2),
     ],
-    ids=["spin_check", "motion_seeded"],
+    ids=["spin_check", "motion_seeded", "generator_canonical", "generator_zero_scalar"],
 )
-def test_each_element_is_verified_once(monkeypatch, argv):
-    counts = {"lipschitz": 0, "inverse": 0}
-    is_lipschitz = spinorlab.spin.is_lipschitz
+def test_each_element_is_verified_once(monkeypatch, argv, passes):
+    # generator with a zero scalar: the spinor and the recovered one
+    counts = {"passes": 0, "inverse": 0}
+    residual_numerators = spinorlab.spin._residual_numerators
     inverse = Multivector.inverse
 
-    def counted_lipschitz(s, **flags):
-        counts["lipschitz"] += 1
-        return is_lipschitz(s, **flags)
+    def counted_pass(coord, n):
+        counts["passes"] += 1
+        return residual_numerators(coord, n)
 
     def counted_inverse(self):
         counts["inverse"] += 1
         return inverse(self)
 
-    monkeypatch.setattr(spinorlab.spin, "is_lipschitz", counted_lipschitz)
+    monkeypatch.setattr(spinorlab.spin, "_residual_numerators", counted_pass)
     monkeypatch.setattr(Multivector, "inverse", counted_inverse)
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
-    assert counts == {"lipschitz": 1, "inverse": 0}
+    assert counts == {"passes": passes, "inverse": 0}
 
 
 @pytest.mark.parametrize(
     "argv, reads",
     [
-        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 3),
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 2),
-        (["motion", "--n", "3", "--seed", "5", "--a", "1,1,0,2,0,1,1"], 2),
+        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 1),
+        (["spin-check", "--p", "2", "--q", "0", "--s", "2 + e12"], 1),
+        (["spin-check", "--p", "4", "--q", "0", "--s", "e1234"], 1),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 1),
+        (["motion", "--n", "3", "--seed", "5", "--a", "1,1,0,2,0,1,1"], 1),
     ],
-    ids=["spin_check", "motion_seeded", "motion_seeded_spinor"],
+    ids=["spin_check", "spin_check_not_spin", "spin_check_zero_scalar", "motion_seeded", "motion_seeded_spinor"],
 )
 def test_norm_reads_per_command(monkeypatch, argv, reads):
-    # spin-check: check_relations, is_spin (which keeps the verdict) and
-    # is_spin_plus; motion: drawing the element and the motion's verdict
+    # the element keeps N(s): check_relations or drawing the element reads it,
+    # and every later predicate, rotation and motion reuses it
     calls = []
     spin_norm = spinorlab.spin.spin_norm
 

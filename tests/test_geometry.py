@@ -1,7 +1,9 @@
 """Absolute geometry: kernels, plane generators, the two-valued spinor map."""
 
+import collections
 import contextlib
 import io
+import itertools
 import json
 import random
 import re
@@ -38,6 +40,7 @@ from spinorlab import (
 )
 from spinorlab.geometry import _primitive, _verify_spinor_matches, annihilates, generator_rows, spinor_image
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
+from spinorlab.spin import _chart, relation_residuals
 
 from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec
 
@@ -188,9 +191,54 @@ def test_relation_residuals_detect_violation():
     assert not spinor.satisfies_relations()
 
 
+def _obeys_relations(a, sig, chart=True):
+    """The relation test of the renamed spinor, with the renamed element built
+    in sig, on its chart or on the element itself."""
+    renamed = Multivector(sig, {mask | (mask.bit_count() % 2) << a.n: v for mask, v in enumerate(a.values)})
+    return all(v == 0 for _, v in relation_residuals((_chart(renamed) if chart else renamed).coefficient, a.n + 1))
+
+
+def _pure_by_rank(a):
+    """Independent oracle: the 2^n generator equations have rank n+1."""
+    return linalg.rank(generator_rows(a)) == a.n + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relations_decide_purity_on_every_small_spinor(n):
+    """Every nonzero spinor with coordinates in {-1, 0, 1}: the chart obeys
+    the relations exactly when the generator system has rank n+1."""
+    for values in itertools.product((-1, 0, 1), repeat=1 << n):
+        if any(values):
+            a = SpinorCoords(n, values)
+            assert a.satisfies_relations() == _pure_by_rank(a), values
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_relations_decide_purity_on_zero_scalar_spinors(n):
+    """Zero-scalar spinors: pure ones moved by a blade, and sparse ones.  The
+    verdict agrees with the rank, whatever signature the renamed element is
+    built in; without the chart, some impure spinors pass the relations."""
+    rng = random.Random(40 + n)
+    sig = neutral_signature(n)
+    others = (Signature(1, n), Signature(n + 1 - (n + 1) // 2, (n + 1) // 2, INTERLEAVED))
+    seen = collections.Counter()
+    for _ in range(200):
+        moved = spinor_image(Multivector.blade(sig, rng.randrange(1, 1 << 2 * n)), random_relation_spinor(n, rng))
+        sparse = SpinorCoords(n, [0] + [rng.choice((-1, 0, 0, 0, 1)) for _ in range((1 << n) - 1)])
+        for a in (moved, sparse):
+            if a.scalar_coord() or a.is_zero():
+                continue
+            pure = _pure_by_rank(a)
+            assert a.satisfies_relations() == pure
+            assert all(_obeys_relations(a, other) == pure for other in others)
+            seen[pure, _obeys_relations(a, others[0], chart=False)] += 1
+    assert seen[True, True] and seen[False, False] and seen[False, True] and not seen[True, False]
+
+
 def test_spinor_json_roundtrip():
     spinor = SpinorCoords(2, [1, Fraction(1, 2), 0, -3])
     payload = spinor.to_json()
+    assert all(type(v) is Fraction for v in spinor.values)  # outside input is converted
     assert payload == {"a": Fraction(1), "a1": Fraction(1, 2), "a2": Fraction(0), "a12": Fraction(-3)}
     assert SpinorCoords.from_json(2, payload) == spinor
 

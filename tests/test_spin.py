@@ -207,9 +207,18 @@ def _ternary_elements(sig, parity):
 def test_lipschitz_matches_conjugation_on_every_small_element():
     """Every even element of Cl(2,2) and every odd one of Cl(3,0) and Cl(2,1)
     with coefficients in {-1, 0, 1}, against conjugation by reverse(s).  The
-    odd ones need the blade chart change, and may raise only when singular."""
+    odd ones need the blade chart change, and may raise only when singular.
+    An even element with a nonzero scalar has its verdict seeded by
+    check_relations, which must agree with a fresh element's."""
     for sig in (Signature(2, 2), Signature(2, 2, INTERLEAVED)):
-        verdicts = [SpinElement(s).lipschitz() == _reverse_oracle(s) for s in _ternary_elements(sig, 0)]
+        verdicts = []
+        for s in _ternary_elements(sig, 0):
+            expected = _reverse_oracle(s)
+            verdicts.append(SpinElement(s).lipschitz() == expected)
+            if s.scalar_part():
+                seeded = SpinElement(s)
+                check_relations(seeded)
+                assert seeded.lipschitz() == expected
         assert len(verdicts) == 3**8 - 1 and all(verdicts)
     for sig in (Signature(3, 0), Signature(2, 1)):
         for s in _ternary_elements(sig, 1):
@@ -217,6 +226,15 @@ def test_lipschitz_matches_conjugation_on_every_small_element():
                 assert is_lipschitz(s) == _reverse_oracle(s)
             except ValueError:
                 assert (s * s.reverse()).is_zero()  # raises only when singular
+
+
+def test_zero_scalar_residuals_do_not_decide_the_verdict():
+    """With a zero scalar the relations of s itself are necessary, not
+    sufficient: e15 + e1234 obeys them but its chart does not."""
+    s = Multivector(Signature(5, 0), {0b10001: 1, 0b01111: 1})
+    element = SpinElement(s)
+    assert check_relations(element).relations_ok
+    assert not element.lipschitz() and not is_lipschitz(s) and not _reverse_oracle(s)
 
 
 def test_mixed_parity_passes_only_through_the_centre():
