@@ -343,7 +343,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(args):
     ids=["spin_check", "motion_seeded", "generator_canonical", "generator_zero_scalar"],
 )
 def test_each_element_is_verified_once(monkeypatch, argv, passes):
-    # generator with a zero scalar: the spinor and the recovered one
+    # a generator with a zero scalar decides two spinors: its own and the recovered one
     counts = {"passes": 0, "inverse": 0}
     residual_numerators = spinorlab.spin._residual_numerators
     inverse = Multivector.inverse
