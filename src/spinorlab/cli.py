@@ -30,7 +30,7 @@ from .geometry import (
     motion_on_points,
     motion_on_spinors,
     normalize,
-    spinor_image,
+    spinor_images,
 )
 from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_form
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
@@ -152,27 +152,26 @@ def cmd_xi(args: argparse.Namespace) -> dict:
     else:
         x = _parse_coords(args.x, 2 * args.n + 1)
         evaluated = build_xi(x)
-        evaluated.verify_square_identity(x)
+        form_value = evaluated.verify_square_identity(x)
         report = evaluated.to_json()
-        report.update(x=x, form_value=quadratic_form(x))
+        report.update(x=x, form_value=form_value)
     report.update(symbolic=args.x is None, verdicts={"square_identity": True})
     return report
 
 
 def cmd_kernel(args: argparse.Namespace) -> dict:
     x = _parse_coords(args.x, 2 * args.n + 1)
-    basis = kernel_spinors(x)
-    form_value = quadratic_form(x)
+    basis = kernel_spinors(x)  # decides Q(x) = 0, or raises
     return {
         "n": args.n,
         "x": list(x),
-        "form_value": form_value,
+        "form_value": Fraction(0),
         "kernel_dimension": len(basis),
         "basis": [vec.to_json() for vec in basis],
         "verdicts": {
-            "point_on_absolute": form_value == 0,
+            "point_on_absolute": True,
             "dimension_is_2_pow_n_minus_1": len(basis) == 1 << (args.n - 1),
-            "basis_annihilated": all(annihilates(x, vec) for vec in basis),
+            "basis_annihilated": annihilates(x, *basis),
         },
     }
 
@@ -240,12 +239,13 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         y = motion_on_points(element, x)
         report["x"] = list(x)
         report["y"] = y
-        verdicts["form_preserved"] = quadratic_form(y) == quadratic_form(x)
-        if quadratic_form(x) == 0 and any(x):
+        form_value = quadratic_form(x)
+        verdicts["form_preserved"] = quadratic_form(y) == form_value
+        if form_value == 0 and any(x):
             # s x = y s is exact and E_0 central, so Xi(y) rep(s) = rep(s) Xi(x): Xi(y) is similar to the checked Xi(x)
-            mapped = [spinor_image(element.value, vec) for vec in kernel_spinors(x)]
+            mapped = spinor_images(element.value, kernel_spinors(x))
             full_rank = linalg.rank([vec.values for vec in mapped]) == 1 << (args.n - 1)
-            verdicts["kernel_equivariance"] = full_rank and all(annihilates(y, vec) for vec in mapped)
+            verdicts["kernel_equivariance"] = full_rank and annihilates(y, *mapped)
     else:
         spinor = _parse_spinor(args.n, args.a)
         moved = motion_on_spinors(element, spinor)

@@ -3,7 +3,9 @@
 Points carry homogeneous coordinates x^0..x^{2n}; the absolute is the
 quadric Q(x) = 0 of the alternating form.  An absolute point's matrix
 Xi(x) squares to zero, so it kills a 2^(n-1)-dimensional space of real
-spinors.  Conversely a pure spinor a cuts the plane generator
+spinors, whose reduced-echelon basis is read off the block recursion
+Xi = [[-Xi', alpha I], [beta I, Xi']] in integers, with no elimination.
+Conversely a pure spinor a cuts the plane generator
 {x : Xi(x) a = 0} out of the absolute: of its 2^n linear equations only n+1
 are independent, and the solution set is a maximal isotropic subspace of
 projective dimension n-1.  Purity is decided by the one chart-and-relations
@@ -28,10 +30,19 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .blades import Multivector, Rational, Signature, blade_indices, mask_from_indices
+from .blades import _ZERO, Multivector, Rational, Signature, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 from .linalg import _cleared
-from .matrices import SignedPerm, blade_image, build_xi, neutral_signature, point_blade_images, quadratic_form
+from .matrices import (
+    SignedPerm,
+    _check_coords,
+    _integer_columns,
+    blade_image,
+    build_xi,  # noqa: F401  no caller here; the benchmark's tracer test wraps this by-name binding
+    neutral_signature,
+    point_blade_images,
+    quadratic_form,
+)
 from .spin import SpinElement, _chart, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
 
 Coords = Sequence[Rational]
@@ -167,8 +178,12 @@ def _renamed_skew(
 def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     """Exact basis of the spinors killed by an absolute point's matrix.
 
-    The basis is the reduced-echelon one (pivot columns in increasing mask
-    order) and always has dimension 2^(n-1).
+    The basis is the reduced-echelon null-space basis of Xi(x): one vector
+    per free column, in increasing mask order, with entry 1 at its own free
+    column and 0 at the others.  It always has dimension 2^(n-1).  It is
+    read off the block recursion of Xi(x) in integers, with no elimination
+    (:func:`_echelon_kernel`), and forms one ``Fraction`` per distinct
+    nonzero entry.
     """
     coords = [Fraction(v) for v in x]
     if all(v == 0 for v in coords):
@@ -176,11 +191,82 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     if quadratic_form(coords) != 0:
         raise ValueError("kernel spinors exist only for absolute points")
     n = (len(coords) - 1) // 2
-    xi = build_xi(coords)
-    basis = linalg.null_space(xi.rows())
+    basis = _echelon_kernel(n, _cleared(_check_coords(n, coords))[0])
     if len(basis) != 1 << (n - 1):
         raise InvariantViolation("kernel dimension differs from 2^(n-1)")
-    return [SpinorCoords(n, vec) for vec in basis]
+    size = 1 << n
+    fractions: dict[tuple[int, int], Fraction] = {}
+    out = []
+    for _, numerators, denominator in basis:
+        values = [_ZERO] * size
+        for r, value in numerators.items():
+            entry = fractions.get((value, denominator))
+            if entry is None:
+                entry = fractions[value, denominator] = Fraction(value, denominator)
+            values[r] = entry
+        out.append(SpinorCoords(n, values))
+    return out
+
+
+def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int], int]]:
+    """The reduced-echelon null-space basis of Xi(c) at a nonzero integer
+    point c of the absolute, as (free column, numerators, denominator)
+    triples with numerators[free] = denominator and zero numerators left out.
+
+    With h = 2^(n-1), Xi' = Xi(c^0..c^{2n-2}) of rank n-1, alpha = c^{2n-1} +
+    c^{2n} and beta = c^{2n} - c^{2n-1}, the block recursion reads
+    Xi = [[-Xi', alpha I], [beta I, Xi']], and Q = Q' + alpha beta = 0:
+
+    * beta != 0: the first h columns [-Xi'; beta I] are independent, so they
+      are the pivots, and the vector at free column h+j is e_{h+j} plus
+      -Xi' e_j / beta, read off the integer columns of Xi'.
+    * alpha = beta = 0: Xi = diag(-Xi', Xi'), so the basis is the rank n-1
+      basis twice, on the top half and on the bottom half.
+    * beta = 0 != alpha and Xi' = 0: the kernel is the top half.
+    * beta = 0 != alpha otherwise: the kernel is {(u, Xi' u / alpha)}, and
+      Xi' has rank h/2 and its image is its kernel, so the free columns are
+      F' and h + F' for the free columns F' of Xi'.  The vectors are (k, 0)
+      for each rank n-1 basis vector k, then (u, k) with Xi' u = alpha k and
+      u zero on F'.  As Xi' E_i + E_i Xi' = 2 g_i c^i I for the point image
+      E_i, g_i = (-1)^i, u is g_i alpha E_i k / (2 c^i) less its entries on
+      F' times the rank n-1 basis, for the first nonzero c^i.
+
+    At n = 1, Xi' = [[c^0]], and beta = 0 forces c^0 = 0, so only the first
+    and the third case arise.
+    """
+    h = 1 << (n - 1)
+    alpha, beta = c[-2] + c[-1], c[-1] - c[-2]
+    lower_point = c[:-2]
+    if beta:
+        return [
+            (h + j, {**{r: -v for r, v in column.items() if v}, h + j: beta}, beta)
+            for j, column in enumerate(_integer_columns(n - 1, lower_point))
+        ]
+    if not any(lower_point):
+        return [(j, {j: 1}, 1) for j in range(h)]
+    lower = _echelon_kernel(n - 1, lower_point)
+    if not alpha:
+        return lower + [(h + f, {h + r: v for r, v in k.items()}, d) for f, k, d in lower]
+    i = next(i for i, v in enumerate(lower_point) if v)
+    image, g = point_blade_images(n - 1)[i], -1 if i % 2 else 1
+    by_free = {f: (k, d) for f, k, d in lower}
+    upper = []
+    for f, k, d in lower:
+        moved = {image.perm[j]: image.signs[j] * v for j, v in k.items()}  # d times E_i applied to k / d
+        hits = [(p, value) for p, value in moved.items() if p in by_free]
+        scale = math.lcm(*[by_free[p][1] for p, _ in hits])
+        u = {r: scale * v for r, v in moved.items()}
+        for p, value in hits:
+            basis_vector, basis_scale = by_free[p]
+            factor = value * (scale // basis_scale)
+            for r, v in basis_vector.items():
+                u[r] = u.get(r, 0) - factor * v
+        vector = {r: g * alpha * v for r, v in u.items() if v}
+        vector.update((h + r, 2 * lower_point[i] * scale * v) for r, v in k.items())
+        denominator = 2 * lower_point[i] * d * scale
+        common = math.gcd(denominator, *vector.values())
+        upper.append((h + f, {r: v // common for r, v in vector.items()}, denominator // common))
+    return lower + upper
 
 
 @dataclass(frozen=True)
@@ -231,13 +317,22 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     coordinate this keeps precisely the rows b, b^1, ..., b^n.  The
     spinor must be pure, its chart obeying the coordinate relations (the
     remaining rows are then consequences of the kept ones); other spinors
-    are rejected with a ValueError, before any row is reduced.
+    are rejected with a ValueError, before any row is reduced.  With a zero
+    scalar coordinate the relations are those of the chart, so the error says
+    that the spinor is not pure and names the chart's blade.
     """
     if a.is_zero():
         raise ValueError("the zero spinor does not define a generator")
-    bad = [(idx, val) for idx, val in a.relation_residuals() if val != 0]
-    if bad:
-        raise ValueError(f"coordinate relations fail, first residual at {bad[0][0]}")
+    bad = next((idx for idx, val in a.relation_residuals() if val != 0), None)
+    if bad is not None:
+        if a.scalar_coord():
+            raise ValueError(f"coordinate relations fail, first residual at {bad}")
+        low = min(_renamed(mask, a.n) for mask, value in enumerate(a.values) if value)
+        blade = "e" + "".join(map(str, blade_indices(low)))
+        raise ValueError(
+            f"spinor is not pure: its chart at the blade {blade} fails the coordinate relations, "
+            f"first residual at {bad}"
+        )
     n = a.n
     rows = generator_rows(a)
     # a row is kept exactly when it is a pivot column of the transposed system
@@ -388,21 +483,40 @@ def _signed_sum(terms: Iterable[tuple[SignedPerm, int]], vector: Mapping[int, in
     return {r: value for r, value in out.items() if value}
 
 
-def spinor_image(m: Multivector, a: SpinorCoords) -> SpinorCoords:
-    """rep(m) a for m in the interleaved (n,n) algebra, bit-equal to the dense
-    rep_multivector(m, n) times a, with one ``Fraction`` per coordinate."""
-    if m.signature != neutral_signature(a.n):
-        raise ValueError(f"element must live in the interleaved ({a.n},{a.n}) algebra")
+def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[SpinorCoords]:
+    """rep(m) a for each spinor a, with m in the interleaved (n,n) algebra of
+    the spinors' rank n, bit-equal to the dense rep_multivector(m, n) times a.
+
+    m is cleared once and all the spinors together once, so a whole kernel
+    basis is mapped on one clearing of each; every image forms one
+    ``Fraction`` per coordinate.
+    """
+    if not spinors:
+        return []
+    n = spinors[0].n
+    if m.signature != neutral_signature(n):
+        raise ValueError(f"element must live in the interleaved ({n},{n}) algebra")
     terms, m_scale = m._cleared_terms()
-    values, a_scale = _cleared(a.values)
-    image = _signed_sum(((blade_image(a.n, mask), c) for mask, c in terms), {j: v for j, v in enumerate(values) if v})
-    return SpinorCoords(a.n, [Fraction(image.get(r, 0), m_scale * a_scale) for r in range(1 << a.n)])
+    images = [(blade_image(n, mask), c) for mask, c in terms]
+    values, a_scale = _cleared([v for a in spinors for v in a.values])
+    size, scale = 1 << n, m_scale * a_scale
+    out = []
+    for start in range(0, len(values), size):
+        image = _signed_sum(images, {j: v for j, v in enumerate(values[start : start + size]) if v})
+        out.append(SpinorCoords(n, [Fraction(image.get(r, 0), scale) for r in range(size)]))
+    return out
 
 
-def annihilates(x: Coords, a: SpinorCoords) -> bool:
-    """Whether Xi(x) a = 0, decided on integer multiples of x and a."""
-    point = zip(point_blade_images(len(x) // 2), _cleared(x)[0])
-    return not _signed_sum(point, {j: c for j, c in enumerate(_cleared(a.values)[0]) if c})
+def annihilates(x: Coords, *spinors: SpinorCoords) -> bool:
+    """Whether Xi(x) a = 0 for every given spinor a, decided on integer
+    multiples: x is cleared once and all the spinors together once."""
+    size = 1 << (len(x) // 2)
+    point = list(zip(point_blade_images(len(x) // 2), _cleared(x)[0]))
+    values = _cleared([v for a in spinors for v in a.values])[0]
+    return not any(
+        _signed_sum(point, {j: c for j, c in enumerate(values[start : start + size]) if c})
+        for start in range(0, len(values), size)
+    )
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
@@ -488,4 +602,4 @@ def motion_on_spinors(s: SpinElement, a: SpinorCoords) -> SpinorCoords:
     n = _motion_rank(s)
     if a.n != n:
         raise ValueError("spinor rank differs from the element's rank")
-    return spinor_image(s.value, a)
+    return spinor_images(s.value, [a])[0]

@@ -25,7 +25,10 @@ identity.  The recursion is the source of truth for every entry sign.
 Geometry and the CLI read this layout only through the images E_i of
 :func:`point_blade_images`: each is a signed permutation, so the x^i
 coefficient of row r of Xi(x) a = 0 is a signed copy of the one
-coordinate of a that E_i sends to row r.
+coordinate of a that E_i sends to row r.  An evaluated Xi(x) is summed in
+integers, c^i E_i over the coordinates cleared to one denominator, and forms
+one ``Fraction`` per distinct nonzero entry; the kernel read-off of the
+geometry module takes the columns of Xi(x) from the same integer sum.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .blades import INTERLEAVED, Multivector, Rational, Signature, blade_indices
+from .blades import _ZERO, INTERLEAVED, Multivector, Rational, Signature, blade_indices
 from .errors import InvariantViolation
+from .linalg import _cleared
 from .poly import Poly
 
 MAX_RANK = 8
@@ -151,14 +155,12 @@ def point_element(n: int, x: Sequence[Rational]) -> Multivector:
 
 
 def quadratic_form(x: Sequence[Rational]) -> Fraction:
-    """Alternating form (x^0)^2 - (x^1)^2 + (x^2)^2 - ... + (x^{2n})^2."""
+    """Alternating form (x^0)^2 - (x^1)^2 + (x^2)^2 - ... + (x^{2n})^2, summed
+    in integers over the lcm of the denominators, with one ``Fraction``."""
     if len(x) % 2 == 0 or len(x) < 3:
         raise ValueError("point coordinates come as x^0..x^{2n}, an odd count >= 3")
-    total = Fraction(0)
-    for i, value in enumerate(x):
-        v = Fraction(value)
-        total += v * v if i % 2 == 0 else -v * v
-    return total
+    ints, scale = _cleared([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x])
+    return Fraction(sum(c * c for c in ints[::2]) - sum(c * c for c in ints[1::2]), scale * scale)
 
 
 @dataclass(frozen=True)
@@ -187,14 +189,17 @@ class XiMatrix:
         )
         return XiMatrix(self.n, rows, symbolic=False)
 
-    def verify_square_identity(self, x: Sequence[Rational] | None = None) -> None:
-        """Assert Xi^2 = Q(x) I, symbolically or at a point."""
+    def verify_square_identity(self, x: Sequence[Rational] | None = None) -> Fraction | None:
+        """Assert Xi^2 = Q(x) I, symbolically or at a point; at a point,
+        return the Q(x) it checked against."""
         if self.symbolic:
             _verify_symbolic_square(self)
-        else:
-            if x is None:
-                raise ValueError("evaluated matrices need their coordinates for the check")
-            _verify_evaluated_square(self.entries, quadratic_form(x))
+            return None
+        if x is None:
+            raise ValueError("evaluated matrices need their coordinates for the check")
+        q = quadratic_form(x)
+        _verify_evaluated_square(self.entries, q)
+        return q
 
     def token_rows(self) -> list[list[str]]:
         """Symbolic entries as sign-prefixed tokens, e.g. ``-x1+x2``."""
@@ -237,24 +242,41 @@ def build_xi_symbolic(n: int) -> XiMatrix:
 
 
 def build_xi(x: Sequence[Rational]) -> XiMatrix:
-    """Evaluated point matrix, accumulated from the blade images E_i."""
+    """Evaluated point matrix: the integer sum of :func:`_integer_columns`
+    over the lcm of the coordinate denominators, with one ``Fraction`` per
+    distinct nonzero entry."""
     if len(x) % 2 == 0 or len(x) < 3:
         raise ValueError("point coordinates come as x^0..x^{2n}, an odd count >= 3")
     n = (len(x) - 1) // 2
-    coords = _check_coords(n, x)
+    ints, scale = _cleared(_check_coords(n, x))
     size = 1 << n
-    out = linalg.zeros(size, size)
-    for image, coeff in zip(point_blade_images(n), coords):
-        if coeff:
-            image.scale_add_into(out, coeff)
-    return XiMatrix(n, tuple(tuple(row) for row in out), symbolic=False)
+    rows = [[_ZERO] * size for _ in range(size)]
+    fractions: dict[int, Fraction] = {}
+    for c, column in enumerate(_integer_columns(n, ints)):
+        for r, value in column.items():
+            if value:
+                entry = fractions.get(value)
+                if entry is None:
+                    entry = fractions[value] = Fraction(value, scale)
+                rows[r][c] = entry
+    return XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
+
+
+def _integer_columns(n: int, ints: Sequence[int]) -> list[dict[int, int]]:
+    """The columns of sum_i c^i E_i for integers c^0..c^{2n}, each as a map
+    from row to entry; an entry is 0 where two images cancel.  At n = 0 the
+    one image is the identity, so the matrix is [[c^0]]."""
+    columns: list[dict[int, int]] = [{} for _ in range(1 << n)]
+    for image, c in zip(point_blade_images(n), ints):
+        if c:
+            for column, r, sign in zip(columns, image.perm, image.signs):
+                column[r] = column.get(r, 0) + sign * c
+    return columns
 
 
 def xi_square_check(x: Sequence[Rational]) -> Fraction:
     """Q(x), after asserting Xi(x)^2 = Q(x) I exactly."""
-    xi = build_xi(x)
-    xi.verify_square_identity(x)
-    return quadratic_form(x)
+    return build_xi(x).verify_square_identity(x)
 
 
 def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:

@@ -22,6 +22,11 @@ kernel verdict maps the kernel at x and tests it against the point y.  The
 dense image ``rep_multivector`` times a ``Fraction`` vector, and the kernel
 at y compared by row space, are the routes they replaced.  ``det`` is the
 plain ``Fraction`` elimination behind Pf^2 = det.
+
+The evaluated point matrix is an integer sum, and the kernel at an absolute
+point is read off the block recursion.  The ``Fraction`` accumulation of the
+images E_i and the reduced-echelon null space of that matrix are the routes
+they replaced.
 """
 
 from fractions import Fraction
@@ -33,7 +38,7 @@ from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
 from spinorlab.geometry import generator_rows, kernel_spinors
-from spinorlab.matrices import rep_multivector
+from spinorlab.matrices import point_blade_images, rep_multivector
 from spinorlab.poly import Poly
 
 
@@ -94,6 +99,22 @@ def det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return result
+
+
+def fraction_build_xi(x):
+    """Rows of Xi(x), accumulated in ``Fraction``s from the blade images E_i."""
+    n = (len(x) - 1) // 2
+    out = linalg.zeros(1 << n, 1 << n)
+    for image, coeff in zip(point_blade_images(n), map(Fraction, x)):
+        if coeff:
+            image.scale_add_into(out, coeff)
+    return out
+
+
+def null_space_kernel(x):
+    """The kernel basis at an absolute point by elimination: the reduced-echelon
+    null space of the ``Fraction``-built Xi(x)."""
+    return linalg.null_space(fraction_build_xi(x))
 
 
 def dense_kernel_equivariance(s, x, y):

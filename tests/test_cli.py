@@ -15,6 +15,7 @@ import pytest
 
 import spinorlab.atlas
 import spinorlab.cli
+import spinorlab.geometry
 import spinorlab.matrices
 import spinorlab.spin
 from spinorlab import (
@@ -276,7 +277,8 @@ def test_kernel_equivariance_fails_when_the_point_is_not_moved(monkeypatch):
 def test_kernel_equivariance_fails_on_images_of_low_rank(monkeypatch):
     # zero images are killed by every point, so only the rank test can fail
     argv = ["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"]
-    monkeypatch.setattr(spinorlab.cli, "spinor_image", lambda m, a: SpinorCoords(a.n, [0] * (1 << a.n)))
+    zero_images = lambda m, basis: [SpinorCoords(a.n, [0] * (1 << a.n)) for a in basis]  # noqa: E731
+    monkeypatch.setattr(spinorlab.cli, "spinor_images", zero_images)
     code, out, err = main_in_process(argv)
     assert code == 2 and err == ""
     assert json.loads(out)["verdicts"] == {"form_preserved": True, "kernel_equivariance": False}
@@ -388,6 +390,54 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
     assert len(calls) == reads
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 16, 3)),
+        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 16, 3)),
+        (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (3, 0, 1)),
+        (["xi", "--n", "2", "--x", "1,2,3,4,5"], (0, 0, 1)),
+    ],
+    ids=["motion_n3", "motion_n4", "kernel", "xi"],
+)
+def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
+    # geometry clears x, the kernel basis, y and the images once each, so a
+    # motion's counts do not grow with its 2^(n-1) kernel vectors; the element
+    # is cleared once for the kernel verdict.  Q is formed once per point: x
+    # and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
+    # expected: calls of geometry._cleared, Multivector._cleared_terms and quadratic_form
+    counts = {"cleared": 0, "cleared_terms": 0, "forms": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spinorlab.geometry, "_cleared", counted("cleared", spinorlab.geometry._cleared))
+    monkeypatch.setattr(Multivector, "_cleared_terms", counted("cleared_terms", Multivector._cleared_terms))
+    form = counted("forms", spinorlab.matrices.quadratic_form)
+    for module in (spinorlab.cli, spinorlab.geometry, spinorlab.matrices):
+        monkeypatch.setattr(module, "quadratic_form", form)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert spinorlab.cli.main(argv) == 0
+    assert tuple(counts.values()) == expected
+
+
+def test_impure_zero_scalar_spinor_error_names_the_chart():
+    # the residual index set is the chart's, so the message names the chart's
+    # blade: a1 + a1234 renames to e15 + e1234, whose lowest blade is e1234
+    code, out, err = main_in_process(["generator", "--n", "4", "--a", IMPURE_ZERO_SCALAR])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: spinor is not pure: its chart at the blade e1234 fails the coordinate relations, "
+        "first residual at (2, 3, 4, 5)\n"
+    )
+    code, out, err = main_in_process(["generator", "--n", "3", "--a", "1,0,0,0,0,0,0,1"])
+    assert (code, out, err) == (1, "", "error: coordinate relations fail, first residual at (1, 2, 3, 4)\n")
 
 
 # sha256 of stdout, recorded before generator_to_spinor became one product

@@ -12,7 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinorlab.cli
@@ -38,11 +38,11 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, _verify_spinor_matches, annihilates, generator_rows, spinor_image
+from spinorlab.geometry import _primitive, _verify_spinor_matches, annihilates, generator_rows, spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 from spinorlab.spin import _chart, relation_residuals
 
-from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec
+from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec, null_space_kernel
 
 
 def frac(values):
@@ -154,6 +154,70 @@ def test_kernel_at_large_rank_within_budget(n):
         assert all(v == 0 for v in mat_vec(xi_rows, vec.values))
 
 
+def draw_absolute_point(data, n):
+    """A point of the absolute at rank n, built down the block recursion
+    Xi = [[-Xi', alpha I], [beta I, Xi']], Q = Q' + alpha beta: at each rank
+    either beta != 0 and alpha solves Q = 0, or beta = 0 over an absolute
+    lower point, with alpha != 0 or alpha = 0.  It may be the zero point."""
+    case = data.draw(st.sampled_from(("beta", "beta_zero", "alpha_beta_zero")))
+    if n == 1 and case != "beta":
+        lower = [Fraction(0)]
+    elif case != "beta":
+        lower = draw_absolute_point(data, n - 1)
+    else:
+        lower = data.draw(st.lists(rationals, min_size=2 * n - 1, max_size=2 * n - 1))
+    if case == "beta":
+        beta = data.draw(rationals.filter(bool))
+        alpha = -sum(v * v if i % 2 == 0 else -v * v for i, v in enumerate(lower)) / beta
+    else:
+        beta = Fraction(0)
+        alpha = data.draw(rationals.filter(bool)) if case == "beta_zero" else Fraction(0)
+    return lower + [(alpha - beta) / 2, (alpha + beta) / 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_read_off_is_bit_equal_to_the_null_space_route(data):
+    """The block-recursion read-off against elimination on the ``Fraction``-built
+    Xi(x), at n = 1..7, with beta = 0 and alpha = beta = 0 forced at some ranks
+    of most draws and denominators up to 10^6."""
+    n = data.draw(st.integers(1, 7))
+    x = draw_absolute_point(data, n)
+    assume(any(x))
+    assert bits(v for vec in kernel_spinors(x) for v in vec.values) == bits(
+        v for vec in null_space_kernel(x) for v in vec
+    )
+
+
+def test_kernel_read_off_covers_every_case_of_the_recursion():
+    # the integer grid at n = 2 reaches all four cases at the top rank, and
+    # each agrees with elimination
+    from itertools import product
+
+    seen = set()
+    for x in product((-1, 0, 1), repeat=5):
+        if not any(x) or quadratic_form(x) != 0:
+            continue
+        alpha, beta = x[3] + x[4], x[4] - x[3]
+        lower_zero = not any(x[:3])
+        seen.add("beta" if beta else "alpha_beta_zero" if not alpha else "lower_zero" if lower_zero else "beta_zero")
+        assert [vec.values for vec in kernel_spinors(list(x))] == null_space_kernel(x)
+    assert seen == {"beta", "alpha_beta_zero", "lower_zero", "beta_zero"}
+
+
+def test_kernel_read_off_at_max_rank_within_budget():
+    # one point for each case at the top rank, built outside the timed region
+    rng = random.Random(800)
+    lower = random_absolute_point(MAX_RANK - 1, rng)
+    points = [random_absolute_point(MAX_RANK, rng), lower + [Fraction(3, 2)] * 2, lower + [0, 0]]
+    for x in points:
+        started = time.perf_counter()
+        basis = kernel_spinors(x)
+        assert time.perf_counter() - started < 0.5
+        assert len(basis) == 1 << (MAX_RANK - 1)
+        assert annihilates(x, *basis)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_annihilates_agrees_with_the_generator_rows(n):
     # kernel vectors, and each with one coordinate changed, at points with
@@ -223,7 +287,8 @@ def test_relations_decide_purity_on_zero_scalar_spinors(n):
     others = (Signature(1, n), Signature(n + 1 - (n + 1) // 2, (n + 1) // 2, INTERLEAVED))
     seen = collections.Counter()
     for _ in range(200):
-        moved = spinor_image(Multivector.blade(sig, rng.randrange(1, 1 << 2 * n)), random_relation_spinor(n, rng))
+        blade = Multivector.blade(sig, rng.randrange(1, 1 << 2 * n))
+        moved = spinor_images(blade, [random_relation_spinor(n, rng)])[0]
         sparse = SpinorCoords(n, [0] + [rng.choice((-1, 0, 0, 0, 1)) for _ in range((1 << n) - 1)])
         for a in (moved, sparse):
             if a.scalar_coord() or a.is_zero():
@@ -655,14 +720,15 @@ def bits(values):
 def test_spinor_image_is_bit_equal_to_the_dense_image(data):
     """rep(m) a by the signed-permutation sum, against the dense image times a
     ``Fraction`` vector: elements of every grade, zero coordinates and the
-    zero spinor, at n = 1..6."""
+    zero spinor, at n = 1..6, three spinors mapped on one clearing."""
     n = data.draw(st.integers(1, 6))
     masks = st.integers(0, (1 << (2 * n)) - 1)
     m = Multivector(neutral_signature(n), data.draw(st.dictionaries(masks, rationals, max_size=12)))
     size = 1 << n
-    values = data.draw(st.lists(rationals, min_size=size, max_size=size))
-    for a in (SpinorCoords(n, values), SpinorCoords(n, [0] * size)):
-        assert bits(spinor_image(m, a).values) == bits(mat_vec(rep_multivector(m, n), a.values))
+    spinors = [SpinorCoords(n, data.draw(st.lists(rationals, min_size=size, max_size=size))) for _ in range(2)]
+    spinors.insert(1, SpinorCoords(n, [0] * size))
+    for a, image in zip(spinors, spinor_images(m, spinors)):
+        assert bits(image.values) == bits(mat_vec(rep_multivector(m, n), a.values))
 
 
 @pytest.mark.parametrize(
@@ -674,7 +740,7 @@ def test_spinor_image_rejects_what_the_dense_image_rejects(sig):
     with pytest.raises(ValueError) as dense_error:
         rep_multivector(m, 2)
     with pytest.raises(ValueError, match=re.escape(str(dense_error.value))):
-        spinor_image(m, a)
+        spinor_images(m, [a])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab import (
     InvariantViolation,
@@ -194,6 +196,24 @@ def test_build_xi_matches_algebra_image():
             x = [Fraction(rng.randint(-5, 5)) for _ in range(2 * n + 1)]
             via_algebra = rep_multivector(point_element(n, x), n)
             assert mat_eq(build_xi(x).rows(), via_algebra)
+
+
+#: Rationals with mixed denominators up to 10^6, and zero.
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)) | st.just(Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_build_is_bit_equal_to_the_fraction_build(data):
+    """Xi(x) and Q(x) summed in integers, against the ``Fraction`` accumulation
+    of the images E_i and the ``Fraction`` sum of squares, at n = 1..7."""
+    n = data.draw(st.integers(1, 7))
+    x = data.draw(st.lists(rationals | st.integers(-9, 9), min_size=2 * n + 1, max_size=2 * n + 1))
+    entries = [v for row in build_xi(x).entries for v in row]
+    expected = [v for row in dense.fraction_build_xi(x) for v in row]
+    assert [(type(v), v) for v in entries] == [(type(v), v) for v in expected]
+    q = quadratic_form(x)
+    assert type(q) is Fraction and q == sum(Fraction(v) ** 2 * (-1) ** i for i, v in enumerate(x))
 
 
 def test_build_xi_worked_point():
