@@ -181,8 +181,12 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     The basis is the reduced-echelon null-space basis of Xi(x): one vector
     per free column, in increasing mask order, with entry 1 at its own free
     column and 0 at the others.  It always has dimension 2^(n-1).  It is
-    read off the block recursion of Xi(x) in integers, with no elimination
-    (:func:`_echelon_kernel`), and forms one ``Fraction`` per distinct
+    read off the block recursion Xi = [[-Xi', alpha I], [beta I, Xi']] in
+    integers, with no elimination (:func:`_echelon_kernel`): for beta != 0
+    from the columns of Xi', for alpha = beta = 0 as the rank n-1 basis
+    twice, and for beta = 0 != alpha as each rank n-1 basis vector k, first
+    as (k, 0) and then as (u, k) with Xi' u = alpha k (the unit vectors of
+    the top half when Xi' = 0).  It forms one ``Fraction`` per distinct
     nonzero entry.
     """
     coords = [Fraction(v) for v in x]
@@ -250,7 +254,7 @@ def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int],
     i = next(i for i, v in enumerate(lower_point) if v)
     image, g = point_blade_images(n - 1)[i], -1 if i % 2 else 1
     by_free = {f: (k, d) for f, k, d in lower}
-    upper = []
+    bottom = []
     for f, k, d in lower:
         moved = {image.perm[j]: image.signs[j] * v for j, v in k.items()}  # d times E_i applied to k / d
         hits = [(p, value) for p, value in moved.items() if p in by_free]
@@ -265,8 +269,8 @@ def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int],
         vector.update((h + r, 2 * lower_point[i] * scale * v) for r, v in k.items())
         denominator = 2 * lower_point[i] * d * scale
         common = math.gcd(denominator, *vector.values())
-        upper.append((h + f, {r: v // common for r, v in vector.items()}, denominator // common))
-    return lower + upper
+        bottom.append((h + f, {r: v // common for r, v in vector.items()}, denominator // common))
+    return lower + bottom
 
 
 @dataclass(frozen=True)
@@ -491,8 +495,6 @@ def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[Spino
     basis is mapped on one clearing of each; every image forms one
     ``Fraction`` per coordinate.
     """
-    if not spinors:
-        return []
     n = spinors[0].n
     if m.signature != neutral_signature(n):
         raise ValueError(f"element must live in the interleaved ({n},{n}) algebra")
