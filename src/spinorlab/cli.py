@@ -36,6 +36,10 @@ from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
+#: The largest --k of a seeded motion, for a 15 s budget at n = 8.  On random
+#: absolute points a cold motion took 5.8-13.1 s at k = 4 and up to 18.0 s at
+#: k = 5 (2-vCPU VM); drawing the element alone grows with k without bound.
+MAX_SEED_PAIRS = 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,7 +117,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=str, default=None, help="multivector text in the (n,n) algebra")
     p.add_argument("--seed", type=int, default=None, help="draw the element instead")
-    p.add_argument("--k", type=int, default=1, help="vector-pair count for --seed")
+    p.add_argument("--k", type=int, default=1, help=f"vector pairs for --seed, at most {MAX_SEED_PAIRS} (n=8 in 15 s)")
     p.add_argument("--x", type=str, default=None)
     p.add_argument("--a", type=str, default=None)
     common(p)
@@ -223,6 +227,8 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         raise ValueError("provide exactly one of --s and --seed")
     if (args.x is None) == (args.a is None):
         raise ValueError("provide exactly one of --x and --a")
+    if args.seed is not None and args.k > MAX_SEED_PAIRS:
+        raise ValueError(f"--k must be at most {MAX_SEED_PAIRS}, got {args.k}")
     sig = neutral_signature(args.n)
     if args.s is not None:
         element = SpinElement(Multivector.from_text(sig, args.s))

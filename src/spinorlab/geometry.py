@@ -34,9 +34,10 @@ from .blades import _ZERO, Multivector, Rational, Signature, blade_indices, mask
 from .errors import InvariantViolation
 from .linalg import _cleared
 from .matrices import (
-    SignedPerm,
     _check_coords,
     _integer_columns,
+    _point_rows,
+    _signed_sum,
     blade_image,
     build_xi,  # noqa: F401  no caller here; the benchmark's tracer test wraps this by-name binding
     neutral_signature,
@@ -256,7 +257,7 @@ def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int],
     by_free = {f: (k, d) for f, k, d in lower}
     bottom = []
     for f, k, d in lower:
-        moved = {image.perm[j]: image.signs[j] * v for j, v in k.items()}  # d times E_i applied to k / d
+        moved = _signed_sum([(image, 1)], k)  # d times E_i applied to k / d
         hits = [(p, value) for p, value in moved.items() if p in by_free]
         scale = math.lcm(*[by_free[p][1] for p, _ in hits])
         u = {r: scale * v for r, v in moved.items()}
@@ -308,9 +309,7 @@ def generator_rows(a: SpinorCoords) -> list[list[Fraction]]:
     Row r, column i holds the x^i coefficient, i.e. (M_i a)[r] for the
     blade images M_i of the point element.
     """
-    n = a.n
-    weights = [image.apply(a.values) for image in point_blade_images(n)]
-    return [[weights[i][r] for i in range(2 * n + 1)] for r in range(1 << n)]
+    return _point_rows(a.values)
 
 
 def independent_system(a: SpinorCoords) -> PlaneGenerator:
@@ -472,19 +471,6 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
             if vector:
                 return [vector.get(r, 0) for r in range(1 << n)]
     raise ValueError("plane does not determine a unique spinor ray")
-
-
-def _signed_sum(terms: Iterable[tuple[SignedPerm, int]], vector: Mapping[int, int]) -> dict[int, int]:
-    """sum_k c_k P_k v in integers over signed permutations P_k, for a sparse
-    integer v, with zero entries dropped: the one spinor action.  Xi(x) v sums
-    over (E_i, x^i) and rep(m) a over (B_M, c_M), on integer multiples."""
-    out: dict[int, int] = {}
-    for image, c in terms:
-        if c:
-            for j, value in vector.items():
-                r = image.perm[j]
-                out[r] = out.get(r, 0) + image.signs[j] * c * value
-    return {r: value for r, value in out.items() if value}
 
 
 def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[SpinorCoords]:

@@ -27,9 +27,15 @@ The evaluated point matrix is an integer sum, and the kernel at an absolute
 point is read off the block recursion.  The ``Fraction`` accumulation of the
 images E_i and the reduced-echelon null space of that matrix are the routes
 they replaced.
+
+A signed permutation is three integers (a, b, s) in the library, and a blade
+image a fold of its generators' triples.  The 2^n-long (perm, signs) tables
+composed down the block recursion are the representation they replaced; they
+pin every blade's triple, and the ``Fraction`` build of Xi(x) reads them.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -38,7 +44,7 @@ from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
 from spinorlab.geometry import generator_rows, kernel_spinors
-from spinorlab.matrices import point_blade_images, rep_multivector
+from spinorlab.matrices import rep_multivector
 from spinorlab.poly import Poly
 
 
@@ -101,13 +107,58 @@ def det(rows):
     return result
 
 
+def table_compose(left, right):
+    """Matrix product left @ right of two (perm, signs) tables, in which
+    column j carries signs[j] in row perm[j]."""
+    perm, signs = left
+    return (
+        tuple(perm[r] for r in right[0]),
+        tuple(sign * signs[r] for r, sign in zip(*right)),
+    )
+
+
+@lru_cache(maxsize=None)
+def table_generator_images(n):
+    """Images of e_1..e_2n as 2^n-long tables, by the block recursion: e_i
+    maps to rep(e_i) (+) rep(e_i) for i <= 2n-2, e_{2n-1} to [[0, V], [V, 0]]
+    and e_{2n} to [[0, V], [-V, 0]], V the rank n-1 volume image."""
+    if n == 0:
+        return ()
+    prev = table_generator_images(n - 1)
+    h = 1 << (n - 1)
+    gens = [(perm + tuple(h + r for r in perm), signs + signs) for perm, signs in prev]
+    perm, signs = table_blade_image(n - 1, (1 << (2 * n - 2)) - 1)
+    swap = tuple(h + r for r in perm) + perm
+    gens.append((swap, signs + signs))
+    gens.append((swap, tuple(-s for s in signs) + signs))
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def table_blade_image(n, mask):
+    """Image of a basis blade as a table, the product of its generator tables."""
+    out = (tuple(range(1 << n)), (1,) * (1 << n))
+    for i in blade_indices(mask):
+        out = table_compose(out, table_generator_images(n)[i - 1])
+    return out
+
+
+def scale_add_into(table, target, coeff):
+    """target += coeff times the table's matrix."""
+    for j, (row, sign) in enumerate(zip(*table)):
+        target[row][j] += coeff if sign > 0 else -coeff
+
+
 def fraction_build_xi(x):
-    """Rows of Xi(x), accumulated in ``Fraction``s from the blade images E_i."""
+    """Rows of Xi(x), accumulated in ``Fraction``s from the tables of the
+    blade images E_i."""
     n = (len(x) - 1) // 2
+    full = (1 << (2 * n)) - 1
+    masks = [full] + [full ^ (1 << i) for i in range(2 * n)]
     out = linalg.zeros(1 << n, 1 << n)
-    for image, coeff in zip(point_blade_images(n), map(Fraction, x)):
+    for mask, coeff in zip(masks, map(Fraction, x)):
         if coeff:
-            image.scale_add_into(out, coeff)
+            scale_add_into(table_blade_image(n, mask), out, coeff)
     return out
 
 

@@ -817,6 +817,21 @@ def test_parsed_options_do_not_leak_between_calls(tmp_path):
     assert code == 0 and out == target.read_text(encoding="utf-8")
 
 
+def test_seeded_motion_rejects_k_above_the_bound_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(spinorlab.cli, "random_spin_element", lambda *args, **kwargs: drawn.append(args))
+    too_many = spinorlab.cli.MAX_SEED_PAIRS + 1
+    code, out, err = call_main(["motion", "--n", "1", "--seed", "1", "--k", str(too_many), "--x", "1,1,0"])
+    assert (code, out, drawn) == (1, "", [])
+    assert err == f"error: --k must be at most {too_many - 1}, got {too_many}\n"
+
+
+def test_seeded_motion_accepts_k_at_the_bound():
+    bound = str(spinorlab.cli.MAX_SEED_PAIRS)
+    code, out, _ = call_main(["motion", "--n", "2", "--seed", "5", "--k", bound, "--x", "0,1,1,0,0"])
+    assert code == 0 and json.loads(out)["verdicts"] == {"form_preserved": True, "kernel_equivariance": True}
+
+
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 
 # exit code and sha256 of stdout and stderr, recorded with Python 3.11 and

@@ -541,7 +541,11 @@ def dense_zero_scalar_spinor(n, rng):
     skew = {(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     vector = [0] + [rng.randint(-3, 3) for _ in range(n - 1)]
     b = SpinorCoords.from_low_grade(n, Fraction(rng.randint(1, 3), rng.randint(1, 2)), vector, skew)
-    return SpinorCoords(n, generator_images(n)[0].apply(b.values))
+    shift, flips, sign = generator_images(n)[0]
+    values = [Fraction(0)] * (1 << n)
+    for j, v in enumerate(b.values):
+        values[j ^ shift] = -v if ((flips & j).bit_count() & 1) != (sign < 0) else v
+    return SpinorCoords(n, values)
 
 
 def test_generator_to_spinor_at_max_rank_within_budget():
@@ -685,6 +689,22 @@ def test_motion_on_points_at_max_rank_within_budget():
     for s, x, y in zip(elements, points, moved):
         assert quadratic_form(y) == 0 and y[0] == x[0]
         assert y[1:] == apply_rotation(s, Multivector.vector(sig, x[1:])).vector_coords()
+
+
+def test_kernel_basis_at_max_rank_moved_by_an_element_at_the_k_bound_within_budget():
+    """The kernel verdict of a seeded motion at MAX_RANK and the largest --k
+    maps the whole kernel basis on one signed-permutation sum, most of the
+    motion's 15 s budget.  The element (22819 terms) and the basis are built
+    outside the timed region; the mapping took 4.4-7.1 s on a 2-vCPU VM."""
+    sig = neutral_signature(MAX_RANK)
+    element = random_spin_element(sig, 0, spinorlab.cli.MAX_SEED_PAIRS, norm_plus=True)
+    x = random_absolute_point(MAX_RANK, random.Random(0))
+    basis = kernel_spinors(x)
+    started = time.perf_counter()
+    mapped = spinor_images(element.value, basis)
+    assert time.perf_counter() - started < 15.0
+    assert len(element.value) == 22819
+    assert all(any(a.values) for a in mapped) and annihilates(motion_on_points(element, x), *mapped)
 
 
 def test_motion_on_spinors_at_max_rank_within_budget():
