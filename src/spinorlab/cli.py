@@ -37,7 +37,7 @@ from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_sp
 
 DEFAULT_TOLERANCE = 1e-9
 #: The largest --k of a seeded motion, for a 15 s budget at n = 8.  On random
-#: absolute points a cold motion took 5.8-13.1 s at k = 4 and up to 18.0 s at
+#: absolute points a cold motion took 9.2-13.3 s at k = 4 and 12.3-18.0 s at
 #: k = 5 (2-vCPU VM); drawing the element alone grows with k without bound.
 MAX_SEED_PAIRS = 4
 
