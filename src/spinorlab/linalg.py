@@ -2,9 +2,10 @@
 
 Matrices are lists of row lists, and nothing here mutates its arguments.
 :func:`rref` eliminates fraction-free on primitive integer rows and turns
-to ``Fraction`` once, at the end.  Pivoting is deterministic (first nonzero
-entry in column order), which fixes echelon forms and null-space bases bit
-for bit.
+to ``Fraction`` once, at the end; :func:`rank` counts the pivots of the
+same elimination and forms no ``Fraction``.  Pivoting is deterministic
+(first nonzero entry in column order), which fixes echelon forms and
+null-space bases bit for bit.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g < 2 else [v // g for v in row]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def _eliminate(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced elimination: primitive integer rows, the pivot
+    rows first and in pivot order, and the list of pivot columns.
 
     Each row is scaled to integers by the lcm of its own denominators and
     kept primitive.  A pivot p clears an entry f of another row as
     (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), subtracting over the
-    pivot row's nonzero support only, so no ``Fraction`` is formed until
-    each pivot row is divided by its pivot.
+    pivot row's nonzero support only, so no ``Fraction`` is formed.
     """
     # rows are cleared inline, not by _cleared: its extra list passes cost
     # xi_kernel about 5% of its throughput
@@ -51,7 +52,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         scale = lcm(*(v.denominator for v in row))
         m.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     if not m:
-        return [], []
+        return m, []
     n_rows, n_cols = len(m), len(m[0])
     pivots: list[int] = []
     r = 0
@@ -77,14 +78,25 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == n_rows:
             break
+    return m, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns: the integer
+    elimination of :func:`_eliminate`, with each pivot row then divided by
+    its pivot, the only place a ``Fraction`` is formed."""
+    m, pivots = _eliminate(rows)
+    if not m:
+        return [], []
     zero = Fraction(0)
     reduced = [[Fraction(v, m[k][c]) if v else zero for v in m[k]] for k, c in enumerate(pivots)]
-    reduced.extend([zero] * n_cols for _ in range(n_rows - len(pivots)))
+    reduced.extend([zero] * len(m[0]) for _ in range(len(m) - len(pivots)))
     return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots of the integer elimination; no ``Fraction`` is formed."""
+    return len(_eliminate(rows)[1])
 
 
 def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:

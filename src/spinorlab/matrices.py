@@ -32,6 +32,12 @@ and E_i omits generator i.  Its image, the point matrix Xi, obeys the
 with base [[x^0]], and satisfies Xi^2 = Q(x) I for the alternating form
 Q(x) = (x^0)^2 - (x^1)^2 + (x^2)^2 - ... + (x^{2n})^2, as a polynomial
 identity.  The recursion is the source of truth for every entry sign.
+The identity is decided once per rank, inside the cached
+:func:`build_xi_symbolic`, by the Clifford relations of the integer
+coefficient matrices C_i of Xi(x) = sum_i x^i C_i.  An evaluated check at x
+then only confirms, in integers, that the entries are sum_i x^i C_i at x,
+against a per-rank pattern read off those C_i; a matrix that is not, such
+as a tampered one, is squared.
 Only this module reads the triples.  Geometry and the CLI act through
 :func:`_signed_sum`, the integer sum of signed permutations applied to a
 spinor, and read the images E_i of :func:`point_blade_images` only through
@@ -201,21 +207,32 @@ class XiMatrix:
         coords = _check_coords(self.n, x)
         values = {f"x{i}": c for i, c in enumerate(coords)}
         rows = tuple(
-            tuple(entry.evaluate(values) if entry.terms else Fraction(0) for entry in row)
+            tuple(entry.evaluate(values) if entry.terms else _ZERO for entry in row)
             for row in self.entries
         )
         return XiMatrix(self.n, rows, symbolic=False)
 
     def verify_square_identity(self, x: Sequence[Rational] | None = None) -> Fraction | None:
         """Assert Xi^2 = Q(x) I, symbolically or at a point; at a point,
-        return the Q(x) it checked against."""
+        return the Q(x) it checked against.
+
+        The symbolic identity is decided by the Clifford relations of the
+        C_i of Xi(x) = sum_i x^i C_i.  At a point it is decided in two parts:
+        the rank's symbolic identity, decided once inside the cached
+        :func:`build_xi_symbolic`, and a check that the entries are exactly
+        sum_i x^i C_i at x (:func:`_is_point_matrix`).  Only entries that
+        are not are squared, by :func:`_verify_evaluated_square`, which
+        names the first failing entry or passes a matrix such as -Xi(x)
+        that squares to Q(x) I all the same.
+        """
         if self.symbolic:
             _verify_symbolic_square(self)
             return None
         if x is None:
             raise ValueError("evaluated matrices need their coordinates for the check")
         q = quadratic_form(x)
-        _verify_evaluated_square(self.entries, q)
+        if not _is_point_matrix(self.entries, self.n, x):
+            _verify_evaluated_square(self.entries, q)
         return q
 
     def token_rows(self) -> list[list[str]]:
@@ -297,10 +314,75 @@ def xi_square_check(x: Sequence[Rational]) -> Fraction:
     return build_xi(x).verify_square_identity(x)
 
 
+@lru_cache(maxsize=None)
+def _point_pattern(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The entries of Xi(x) = sum_i x^i C_i, read off the C_i whose Clifford
+    relations :func:`build_xi_symbolic` has just decided: the distinct
+    integer forms sum_i k x^i as (i, k) pairs, and for each row its
+    (column, form index) pairs, one per entry that is not identically 0.
+
+    The forms come from the ``Poly`` block recursion, not from the
+    signed-permutation triples, so a point check against them is a second
+    route to the one :func:`build_xi` sums.
+    """
+    entries: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(1 << n)]
+    for i, columns in enumerate(_coefficient_columns(build_xi_symbolic(n))):
+        for c, column in enumerate(columns):
+            for r, k in column:
+                entries[r].setdefault(c, []).append((i, k))
+    forms: dict[tuple[tuple[int, int], ...], int] = {}
+    rows = tuple(
+        tuple((c, forms.setdefault(tuple(form), len(forms))) for c, form in sorted(row.items())) for row in entries
+    )
+    return tuple(forms), rows
+
+
+def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational]) -> bool:
+    """Whether the entries are exactly sum_i x^i C_i, the rank-n point matrix
+    at x, compared in integers with no ``Fraction`` formed.
+
+    x is cleared to integers c^i over one denominator L, each form is summed
+    once as f = sum_i k c^i, and an entry p/q is f/L exactly when p L = f q.
+    A row then holds nothing else when its count of zeros is the size less
+    its nonzero forms; ``tuple.count`` runs in C and short-cuts on the
+    shared zero that :func:`build_xi` writes.  Anything that is not a
+    2^n x 2^n matrix of rationals at 2n+1 coordinates is left to the square.
+    """
+    if len(x) != 2 * n + 1 or n > MAX_RANK or len(entries) != 1 << n:
+        return False
+    size = 1 << n
+    forms, pattern = _point_pattern(n)
+    ints, scale = _cleared([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x])
+    values = [sum(k * ints[i] for i, k in form) for form in forms]
+    try:
+        for row, expected in zip(entries, pattern):
+            if len(row) != size:
+                return False
+            nonzero = 0
+            for c, f in expected:
+                value = values[f]
+                entry = row[c]
+                if entry.numerator * scale != value * entry.denominator:
+                    return False
+                if value:
+                    nonzero += 1
+            if row.count(_ZERO) != size - nonzero:
+                return False
+    except (AttributeError, TypeError):
+        return False
+    return True
+
+
 def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:
     """Square the sparse rows of L*Xi in integers, L the lcm of the entries'
     denominators, and compare with L^2 Q(x) I; a failure is reported in the
-    original units at its first entry in row order."""
+    original units at its first entry in row order.
+
+    :meth:`XiMatrix.verify_square_identity` calls this only for entries
+    that are not the point matrix at x, which the symbolic identity already
+    covers: a tampered matrix, one checked at the wrong point, or one such
+    as -Xi(x) that is not Xi(x) but may square to Q(x) I.
+    """
     # cleared inline: linalg._cleared would also clear the zeros, which slowed
     # this check by about 15%; only (n+1) 2^n of the 4^n entries are nonzero
     nonzero = [[(c, v) for c, v in enumerate(row) if v] for row in entries]

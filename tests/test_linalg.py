@@ -183,6 +183,16 @@ def test_eliminations_agree_with_oracle_values():
                 assert mat_vec(rows, solution) == rhs
 
 
+def test_rank_forms_no_fraction(monkeypatch):
+    # rank counts the pivots of the integer elimination; only rref divides
+    cases = [rows for rows in seeded_matrices() if rows]
+    expected = [len(oracle_rref(rows)[1]) for rows in cases]
+    monkeypatch.setattr(linalg, "Fraction", None)
+    assert [linalg.rank(rows) for rows in cases] == expected
+    with pytest.raises(TypeError):
+        linalg.rref(cases[0])
+
+
 _entries = st.one_of(
     st.integers(-20, 20).map(Fraction),
     st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),

@@ -23,6 +23,8 @@ from spinorlab import (
     rep_multivector,
     xi_square_check,
 )
+from spinorlab import matrices
+from spinorlab.blades import _ZERO
 from spinorlab.matrices import MAX_RANK, _compose, blade_image, generator_images
 from spinorlab.poly import Poly
 
@@ -339,6 +341,125 @@ def test_square_check_catches_tampering_with_any_denominator(x):
             tampered = XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
             with pytest.raises(InvariantViolation, match=re.escape(expected)):
                 tampered.verify_square_identity(x)
+
+
+def _square_outcome(xi, x):
+    """The message of the evaluated square check at x, or None when it passes."""
+    try:
+        xi.verify_square_identity(x)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.fixture
+def squarings(monkeypatch):
+    """Counts the calls of the evaluated squaring behind verify_square_identity."""
+    calls = []
+    square = matrices._verify_evaluated_square
+    monkeypatch.setattr(matrices, "_verify_evaluated_square", lambda *args: calls.append(1) or square(*args))
+    return calls
+
+
+def _points_with_cancelling_entries(n, rng):
+    """x = 0, x = e_0, x^(2l-1) = +-x^(2l) for each l (an expected entry is 0),
+    and a point with mixed denominators."""
+    size = 2 * n + 1
+    points = [[0] * size, [1] + [0] * (size - 1)]
+    for level in range(1, n + 1):
+        for sign in (1, -1):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+            x[2 * level] = sign * x[2 * level - 1]
+            points.append(x)
+    points.append([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(size)])
+    return points
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+def test_point_matrices_are_decided_without_squaring(n, squarings):
+    # Xi(x) is sum_i x^i C_i, whose square the symbolic build has decided, so
+    # neither build route reaches the squaring; it is 1 for a tampered matrix
+    rng = random.Random(700 + n)
+    symbolic = build_xi_symbolic(n)
+    for x in _points_with_cancelling_entries(n, rng):
+        q = quadratic_form(x)
+        evaluated = symbolic.evaluate(x)
+        assert all(v is _ZERO for row, srow in zip(evaluated.entries, symbolic.entries)
+                   for v, entry in zip(row, srow) if not entry.terms)
+        assert build_xi(x).verify_square_identity(x) == q
+        assert evaluated.verify_square_identity(x) == q
+    assert squarings == []
+    x = _points_with_cancelling_entries(n, rng)[-1]
+    rows = build_xi(x).rows()
+    rows[0][-1 if n > 1 else 0] += 1  # off the pattern, except at n = 1
+    with pytest.raises(InvariantViolation, match="point-matrix square identity failed"):
+        XiMatrix(n, tuple(map(tuple, rows)), symbolic=False).verify_square_identity(x)
+    assert squarings == [1]
+
+
+def test_squaring_is_reached_for_every_matrix_that_is_not_xi(squarings):
+    x = [Fraction(1, 2), 3, Fraction(-2, 7), 1, 0]
+    xi = build_xi(x)
+    negated = XiMatrix(2, tuple(tuple(-v for v in row) for row in xi.entries), symbolic=False)
+    assert negated.verify_square_identity(x) == quadratic_form(x)  # -Xi(x) squares to Q(x) I
+    other = [Fraction(1, 2), 1, Fraction(-2, 7), 3, 0]  # the same Q at another point
+    assert xi.verify_square_identity(other) == quadratic_form(other) == quadratic_form(x)
+    assert len(squarings) == 2
+    # coordinates of another rank keep the squaring's outcome
+    assert build_xi([1, 0, 0]).verify_square_identity([1, 0, 0, 0, 0]) == 1 and len(squarings) == 3
+
+
+def test_point_check_is_independent_of_the_triples(monkeypatch):
+    # the point pattern comes from the decided C_i, not from point_blade_images:
+    # a build_xi that sums a broken image is still caught
+    images = matrices.point_blade_images(3)
+    broken = (images[0], images[2]) + images[2:]  # E_1 replaced by E_2
+    matrices._point_pattern.cache_clear()
+    monkeypatch.setattr(matrices, "point_blade_images", lambda n: broken if n == 3 else images)
+    try:
+        x = [1, 2, 3, 0, 0, 0, 0]
+        with pytest.raises(InvariantViolation, match="point-matrix square identity failed"):
+            build_xi(x).verify_square_identity(x)
+    finally:
+        matrices._point_pattern.cache_clear()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_point_check_agrees_with_the_dense_square(data):
+    # single-entry tamperings, Xi(x') checked at x, and -Xi(x), at n <= 4
+    n = data.draw(st.integers(1, 4))
+    size = 1 << n
+    coords = st.lists(rationals | st.integers(-9, 9), min_size=2 * n + 1, max_size=2 * n + 1)
+    x = data.draw(coords)
+    q = quadratic_form(x)
+    rows = build_xi(x).rows()
+    r, c = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+    rows[r][c] += data.draw(rationals.filter(bool))
+    cases = [rows, build_xi(data.draw(coords)).rows()]
+    for rows in cases:
+        expected = first_square_failure(rows, q)
+        outcome = _square_outcome(XiMatrix(n, tuple(map(tuple, rows)), symbolic=False), x)
+        assert outcome == (None if expected is None else f"point-matrix square identity failed at {expected}")
+    negated = XiMatrix(n, tuple(tuple(-v for v in row) for row in build_xi(x).entries), symbolic=False)
+    assert _square_outcome(negated, x) is None
+
+
+def test_point_check_at_max_rank_within_budget():
+    """A warm evaluated check at MAX_RANK under 50 ms (about 2 ms on a 2-vCPU
+    VM), and the per-rank set-up it rests on, the symbolic build and its
+    point pattern, from cleared caches in under 1 s (about 0.1 s)."""
+    build_xi_symbolic.cache_clear()
+    matrices._point_pattern.cache_clear()
+    started = time.perf_counter()
+    matrices._point_pattern(MAX_RANK)
+    assert time.perf_counter() - started < 1.0
+    rng = random.Random(88)
+    x = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(2 * MAX_RANK + 1)]
+    xi = build_xi(x)
+    started = time.perf_counter()
+    assert xi.verify_square_identity(x) == quadratic_form(x)
+    assert time.perf_counter() - started < 0.05
 
 
 @pytest.mark.parametrize("n", range(1, 6))
