@@ -203,6 +203,7 @@ _entries = st.one_of(
 @given(st.integers(0, 6).flatmap(lambda k: st.lists(st.lists(_entries, min_size=k, max_size=k), max_size=6)))
 def test_rref_matches_oracle_property(rows):
     assert linalg.rref(rows) == oracle_rref(rows)
+    assert linalg.rank(rows) == len(oracle_rref(rows)[1])
 
 
 def test_eliminations_match_sympy():
