@@ -220,10 +220,10 @@ class XiMatrix:
         C_i of Xi(x) = sum_i x^i C_i.  At a point it is decided in two parts:
         the rank's symbolic identity, decided once inside the cached
         :func:`build_xi_symbolic`, and a check that the entries are exactly
-        sum_i x^i C_i at x (:func:`_is_point_matrix`).  Only entries that
-        are not are squared, by :func:`_verify_evaluated_square`, which
-        names the first failing entry or passes a matrix such as -Xi(x)
-        that squares to Q(x) I all the same.
+        sum_i x^i C_i at x (:func:`_is_point_matrix`).  Any other matrix is
+        squared by :func:`_verify_evaluated_square`, which names the first
+        failing entry, or passes a matrix such as -Xi(x) that squares to
+        Q(x) I all the same.
         """
         if self.symbolic:
             _verify_symbolic_square(self)
@@ -378,10 +378,10 @@ def _verify_evaluated_square(entries: tuple, q: Fraction) -> None:
     denominators, and compare with L^2 Q(x) I; a failure is reported in the
     original units at its first entry in row order.
 
-    :meth:`XiMatrix.verify_square_identity` calls this only for entries
-    that are not the point matrix at x, which the symbolic identity already
-    covers: a tampered matrix, one checked at the wrong point, or one such
-    as -Xi(x) that is not Xi(x) but may square to Q(x) I.
+    :meth:`XiMatrix.verify_square_identity` calls this only when the
+    entries are not the point matrix at x, whose square the symbolic
+    identity already decides: a tampered matrix, one checked at another
+    point, or one such as -Xi(x) that is not Xi(x) but squares to Q(x) I.
     """
     # cleared inline: linalg._cleared would also clear the zeros, which slowed
     # this check by about 15%; only (n+1) 2^n of the 4^n entries are nonzero
