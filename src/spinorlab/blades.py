@@ -143,6 +143,19 @@ def blade_product(b1: int, b2: int, sig: Signature) -> tuple[int, int]:
     return -1 if flips & 1 else 1, b1 ^ b2
 
 
+def _numerator_product(
+    left: Iterable[tuple[int, int]], right: Sequence[tuple[int, int]], sig: Signature
+) -> dict[int, int]:
+    """Product of two (mask, integer numerator) term lists, by result blade
+    in first-reached order; entries that cancel stay, as 0."""
+    out: dict[int, int] = {}
+    for m1, a in left:
+        for m2, b in right:
+            sign, mask = blade_product(m1, m2, sig)
+            out[mask] = out.get(mask, 0) + (a * b if sign > 0 else -a * b)
+    return out
+
+
 def volume_element(sig: Signature) -> int:
     """Mask of the product of all generators."""
     if sig.dim == 0:
@@ -285,15 +298,10 @@ class Multivector:
             p, d2 = other.numerator, other.denominator * d1
             return Multivector._from_terms(self.signature, {m: Fraction(v * p, d2) for m, v in left})
         self._check_signature(other)
-        sig = self.signature
         right, d2 = other._cleared_terms()
-        out: dict[int, int] = {}
-        for m1, a in left:
-            for m2, b in right:
-                sign, mask = blade_product(m1, m2, sig)
-                out[mask] = out.get(mask, 0) + (a * b if sign > 0 else -a * b)
         scale = d1 * d2
-        return Multivector._from_terms(sig, {m: Fraction(v, scale) for m, v in out.items() if v})
+        out = _numerator_product(left, right, self.signature)
+        return Multivector._from_terms(self.signature, {m: Fraction(v, scale) for m, v in out.items() if v})
 
     def __rmul__(self, other: Rational) -> "Multivector":
         if isinstance(other, (int, Fraction)):

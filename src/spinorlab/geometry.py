@@ -413,16 +413,25 @@ def reduction_identities(a: SpinorCoords, b: Sequence[Rational]) -> ReductionRep
 
 
 def _validate_generator_geometry(g: PlaneGenerator) -> None:
+    """The basis points lie on the absolute and span a totally isotropic plane.
+
+    One integer Gram pass of the alternating form B(u, v) = u^0 v^0 - u^1 v^1
+    + ... over the basis rows, each cleared to integers: the diagonal first,
+    then the pairs.  With every B(u, u) = 0, Q(u + v) = 2 B(u, v).
+    """
     if not g.basis:
         raise ValueError("generator has an empty solution basis")
-    vectors = [list(v) for v in g.basis]
-    for v in vectors:
-        if quadratic_form(v) != 0:
-            raise ValueError("generator basis leaves the absolute quadric")
-    for u, v in combinations(vectors, 2):
-        s = [a + b for a, b in zip(u, v)]
-        if quadratic_form(s) != 0:
-            raise ValueError("generator span is not totally isotropic")
+    if any(len(v) != 2 * g.n + 1 for v in g.basis):
+        raise ValueError(f"generator basis points need {2 * g.n + 1} coordinates")
+    rows = [_cleared(v)[0] for v in g.basis]
+
+    def form(u: list[int], v: list[int]) -> int:
+        return sum(a * b for a, b in zip(u[::2], v[::2])) - sum(a * b for a, b in zip(u[1::2], v[1::2]))
+
+    if any(form(v, v) for v in rows):
+        raise ValueError("generator basis leaves the absolute quadric")
+    if any(form(u, v) for u, v in combinations(rows, 2)):
+        raise ValueError("generator span is not totally isotropic")
 
 
 def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:

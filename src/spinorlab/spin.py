@@ -50,8 +50,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Sequence, Union
 
-from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _negative_mask, blade_indices, blade_product
-from .blades import mask_from_indices
+from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _negative_mask, _numerator_product
+from .blades import blade_indices, blade_product, mask_from_indices
 from .errors import InvariantViolation
 from .linalg import _cleared
 
@@ -422,45 +422,56 @@ def vector_norm(x: Multivector) -> Fraction:
 
 
 def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
-    """Product of an even number of grade-1 elements."""
+    """Product of an even number of grade-1 elements, taken left to right.
+
+    Each factor is cleared once, to integer numerators over the lcm of its
+    denominators.  The chain is multiplied in integers over the product of
+    those lcms, dropping the blades that cancel at each step, and one
+    ``Fraction`` is formed per term of the product, at the end; the terms
+    come in the order of the ``Multivector`` products they replace.
+    """
     if not vectors:
         raise ValueError("need at least one vector")
     if len(vectors) % 2:
         raise ValueError("need an even number of vectors")
-    product = Multivector.scalar(vectors[0].signature, 1)
+    first = vectors[0]
+    terms = [(0, 1)]
+    scale = 1
     for v in vectors:
         if not v.is_grade(1):
             raise ValueError("factors must be pure vectors")
-        product = product * v
-    return SpinElement(product)
+        first._check_signature(v)
+        right, d = v._cleared_terms()
+        scale *= d
+        terms = [(mask, c) for mask, c in _numerator_product(terms, right, first.signature).items() if c]
+    return SpinElement(Multivector._from_terms(first.signature, {mask: Fraction(c, scale) for mask, c in terms}))
 
 
 def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Multivector:
     """Random rational vector with (v,v) = norm_sign, by exact reflection.
 
-    Reflecting a basis vector of the wanted norm across a random hyperplane
-    preserves the quadratic form exactly and stays rational.
+    Reflecting a basis vector e_b of the wanted norm across the hyperplane of
+    a random integer vector u preserves the quadratic form exactly and stays
+    rational: v = e_b - 2 B(e_b,u)/B(u,u) u.  The coordinates are held as
+    integer numerators over B(u,u), the norm is checked in integers, and one
+    ``Fraction`` is formed per nonzero coordinate.
     """
     sigmas = sig.sigmas()
     try:
         base_index = next(i for i, s in enumerate(sigmas) if s == norm_sign)
     except StopIteration:
         raise ValueError(f"no generator of square {norm_sign} in Cl({sig.p},{sig.q})")
-    base = [Fraction(0)] * sig.dim
-    base[base_index] = Fraction(1)
     while True:
-        u = [Fraction(rng.randint(-3, 3)) for _ in range(sig.dim)]
+        u = [rng.randint(-3, 3) for _ in range(sig.dim)]
         uu = sum(s * c * c for s, c in zip(sigmas, u))
         if uu:
             break
-    # reflect: v = base - 2 B(base,u)/B(u,u) * u
-    bu = sigmas[base_index] * u[base_index]
-    factor = Fraction(2) * bu / uu
-    coords = [b - factor * c for b, c in zip(base, u)]
-    v = Multivector.vector(sig, coords)
-    if vector_norm(v) != norm_sign:
+    twice_bu = 2 * sigmas[base_index] * u[base_index]
+    numerators = [-twice_bu * c for c in u]
+    numerators[base_index] += uu
+    if sum(s * v * v for s, v in zip(sigmas, numerators)) != norm_sign * uu * uu:
         raise InvariantViolation("reflection failed to preserve the vector norm")
-    return v
+    return Multivector._from_terms(sig, {1 << i: Fraction(v, uu) for i, v in enumerate(numerators) if v})
 
 
 def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = False) -> SpinElement:

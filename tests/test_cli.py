@@ -395,8 +395,8 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 16, 3)),
-        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 16, 3)),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 12, 3)),
+        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 12, 3)),
         (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (3, 0, 1)),
         (["xi", "--n", "2", "--x", "1,2,3,4,5"], (0, 0, 1)),
     ],
@@ -404,8 +404,10 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 )
 def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
     # geometry clears x, the kernel basis, y and the images once each, so a
-    # motion's counts do not grow with its 2^(n-1) kernel vectors; the element
-    # is cleared once for the kernel verdict.  Q is formed once per point: x
+    # motion's counts do not grow with its 2^(n-1) kernel vectors.  Of the 12
+    # term clearings, the k = 1 element's two unit vectors take one each (their
+    # reflections and norm checks run in integers), N(s) one, the point
+    # rotation eight and the kernel verdict one.  Q is formed once per point: x
     # and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
     # expected: calls of geometry._cleared, Multivector._cleared_terms and quadratic_form
     counts = {"cleared": 0, "cleared_terms": 0, "forms": 0}
