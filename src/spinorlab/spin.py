@@ -36,10 +36,10 @@ inverts it.  A rotation reads only the grade-1 coefficients of
 geometry module are these rotations.
 
 Coordinates are stored as ``Fraction``.  The Pfaffian table, the relation
-residuals, the completion, the spin norm and the rotation accumulate
-integer numerators over one common denominator and form one ``Fraction``
-per output, at the end; the residuals and the two norm routes are compared
-as integers.
+residuals, the completion, the spin norm, the rotation, the seeded unit
+vectors and the product of a chain of vectors accumulate integer numerators
+over one common denominator and form one ``Fraction`` per output, at the
+end; the residuals and the two norm routes are compared as integers.
 """
 
 from __future__ import annotations
@@ -427,8 +427,8 @@ def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
     Each factor is cleared once, to integer numerators over the lcm of its
     denominators.  The chain is multiplied in integers over the product of
     those lcms, dropping the blades that cancel at each step, and one
-    ``Fraction`` is formed per term of the product, at the end; the terms
-    come in the order of the ``Multivector`` products they replace.
+    ``Fraction`` is formed per term of the product, at the end.  The terms
+    come in the order that the same chain of ``Multivector`` products gives.
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -479,7 +479,10 @@ def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = Fal
 
     The RNG state is local to the call: equal seeds give equal elements.
     With norm_plus the (v,v) = -1 factors are kept even in number, which
-    forces spin norm +1.
+    forces spin norm +1.  Each vector is an exact reflection drawn in
+    integers (:func:`random_unit_vector`) and the chain is multiplied in
+    integers (:func:`spin_from_vectors`); the product is then verified once,
+    by its relations and both norm routes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -32,8 +32,15 @@ A signed permutation is three integers (a, b, s) in the library, and a blade
 image a fold of its generators' triples.  The 2^n-long (perm, signs) tables
 composed down the block recursion are the representation they replaced; they
 pin every blade's triple, and the ``Fraction`` build of Xi(x) reads them.
+
+A seeded spin element is drawn and multiplied in integer numerators, and a
+generator's isotropy is one integer Gram pass.  The ``Fraction`` reflection,
+the left-to-right ``Fraction`` product of its factors and the quadratic
+forms of the basis points and their pairwise sums are the routes they
+replaced; the first two pin the seeded elements item for item, in order.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -44,7 +51,7 @@ from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
 from spinorlab.geometry import generator_rows, kernel_spinors
-from spinorlab.matrices import rep_multivector
+from spinorlab.matrices import quadratic_form, rep_multivector
 from spinorlab.poly import Poly
 
 
@@ -333,3 +340,57 @@ def even_map_by_products(sig, images):
                 return False
             seen_masks.add(mask)
     return len(seen_masks) == 1 << (sig.dim - 1)
+
+
+def reflected_unit_vector(sig, rng, norm_sign):
+    """v = e_b - 2 B(e_b,u)/B(u,u) u in ``Fraction``s, for the first generator
+    e_b of square norm_sign and the first random u with B(u,u) != 0."""
+    sigmas = sig.sigmas()
+    base_index = sigmas.index(norm_sign)
+    base = [Fraction(0)] * sig.dim
+    base[base_index] = Fraction(1)
+    while True:
+        u = [Fraction(rng.randint(-3, 3)) for _ in range(sig.dim)]
+        uu = sum(s * c * c for s, c in zip(sigmas, u))
+        if uu:
+            break
+    factor = Fraction(2) * sigmas[base_index] * u[base_index] / uu
+    return Multivector.vector(sig, [b - factor * c for b, c in zip(base, u)])
+
+
+def vector_chain(vectors):
+    """v_1 v_2 ... v_m left to right, one ``Fraction`` product and sum per term
+    pair, with the result blades in first-reached order at each step."""
+    sig = vectors[0].signature
+    terms = {0: Fraction(1)}
+    for v in vectors:
+        out = {}
+        for m1, c1 in terms.items():
+            for m2, c2 in v.items():
+                sign, mask = blade_product(m1, m2, sig)
+                out[mask] = out.get(mask, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+        terms = {m: c for m, c in out.items() if c}
+    return Multivector(sig, terms)
+
+
+def seeded_spin_element(sig, seed, k, norm_plus=False):
+    """The draws of ``random_spin_element`` through the two routes above."""
+    rng = random.Random(seed)
+    signs = [s for s in (1, -1) if (s > 0 and sig.p) or (s < 0 and sig.q)]
+    chosen = [rng.choice(signs) for _ in range(2 * k)]
+    if norm_plus and chosen.count(-1) % 2:
+        chosen[chosen.index(-1)] = 1
+    return vector_chain([reflected_unit_vector(sig, rng, sign) for sign in chosen])
+
+
+def validate_generator_geometry(g):
+    """Q of every basis point, then Q of every pairwise sum, in ``Fraction``s."""
+    if not g.basis:
+        raise ValueError("generator has an empty solution basis")
+    vectors = [list(v) for v in g.basis]
+    for v in vectors:
+        if quadratic_form(v) != 0:
+            raise ValueError("generator basis leaves the absolute quadric")
+    for u, v in combinations(vectors, 2):
+        if quadratic_form([a + b for a, b in zip(u, v)]) != 0:
+            raise ValueError("generator span is not totally isotropic")

@@ -38,10 +38,12 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, _verify_spinor_matches, annihilates, generator_rows, spinor_images
+from spinorlab.geometry import _primitive, _validate_generator_geometry, _verify_spinor_matches, annihilates
+from spinorlab.geometry import generator_rows, spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 from spinorlab.spin import _chart, relation_residuals
 
+import dense
 from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec, null_space_kernel
 
 
@@ -482,6 +484,55 @@ def test_generator_to_spinor_rejects_non_generators():
     )
     with pytest.raises(ValueError):
         generator_to_spinor(bogus)
+
+
+def test_isotropy_messages_diagonal_first():
+    # e_1 - e_2 and e_1 + e_2 each lie on the quadric of S(1,1) but not in one
+    # plane: B = -2; the point e_0 is off the quadric, and is reported first
+    g = independent_system(SpinorCoords(1, [1, 0]))
+    pair = ((0, 1, 1), (0, 1, -1))
+    with pytest.raises(ValueError, match="^generator span is not totally isotropic$"):
+        generator_to_spinor(replace(g, basis=pair))
+    for basis in (((1, 0, 0),), pair + ((1, 0, 0),), ((0, 1, 1), (Fraction(1, 3), 0, 0))):
+        with pytest.raises(ValueError, match="^generator basis leaves the absolute quadric$"):
+            generator_to_spinor(replace(g, basis=basis))
+    with pytest.raises(ValueError, match="^generator basis points need 3 coordinates$"):
+        generator_to_spinor(replace(g, basis=((0, 1, 1, 0, 0),)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_isotropy_pass_agrees_with_the_quadratic_forms(n):
+    """The integer Gram pass against Q of each point and each pairwise sum, on
+    generators, their rescaled and mixed bases, and bases with a point moved
+    on or off the quadric."""
+    rng = random.Random(950 + n)
+
+    def outcome(check, g):
+        try:
+            check(g)
+        except ValueError as error:
+            return str(error)
+        return None
+
+    for _ in range(12):
+        g = independent_system(random_relation_spinor(n, rng))
+        basis = [list(point) for point in g.basis]
+        scales = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in basis]
+        candidates = [basis, [[scale * c for c in p] for scale, p in zip(scales, basis)]]
+        if n > 1:
+            mixed = [list(p) for p in basis]
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            mixed[0] = [a + c * b for a, b in zip(mixed[0], mixed[1])]
+            candidates.append(mixed)
+        moved = [list(p) for p in basis]
+        moved[rng.randrange(n)] = random_absolute_point(n, rng)
+        candidates.append(moved)
+        nudged = [list(p) for p in basis]
+        nudged[rng.randrange(n)][rng.randrange(2 * n + 1)] += Fraction(1, rng.randint(1, 5))
+        candidates.append(nudged)
+        for candidate in candidates:
+            changed = replace(g, basis=tuple(tuple(p) for p in candidate))
+            assert outcome(_validate_generator_geometry, changed) == outcome(dense.validate_generator_geometry, changed)
 
 
 def cayley_plane(n, rng):

@@ -419,6 +419,61 @@ def test_random_unit_vector_norms():
         assert vector_norm(w) == -1
 
 
+@pytest.mark.parametrize(
+    "sig",
+    [
+        Signature(3, 1),
+        Signature(2, 2, INTERLEAVED),
+        Signature(4, 0),
+        Signature(0, 3),
+        Signature(3, 3, INTERLEAVED),
+        Signature(2, 4),
+    ],
+    ids=str,
+)
+def test_seeded_draws_match_the_fraction_routes(sig):
+    """The integer reflection and chain against the ``Fraction`` ones they
+    replaced, item for item and in order, on one shared stream of draws."""
+    rng, oracle_rng = random.Random(sig.dim), random.Random(sig.dim)
+    for sign in sorted(set(sig.sigmas())):
+        for _ in range(25):
+            drawn = random_unit_vector(sig, rng, sign)
+            assert list(drawn.items()) == list(dense.reflected_unit_vector(sig, oracle_rng, sign).items())
+            assert vector_norm(drawn) == sign
+    for k in (1, 2, 3):
+        for norm_plus in (False, True):
+            for seed in range(5):
+                drawn = random_spin_element(sig, seed, k, norm_plus).value
+                assert list(drawn.items()) == list(dense.seeded_spin_element(sig, seed, k, norm_plus).items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_spin_from_vectors_equals_multivector_products(data):
+    sig = data.draw(st.sampled_from([Signature(2, 1), Signature(2, 2, INTERLEAVED), Signature(0, 3), Signature(4, 1)]))
+    coords = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=sig.dim, max_size=sig.dim)
+    pool = [Multivector.vector(sig, data.draw(coords)) for _ in range(3)]
+    # repeated factors make whole blades cancel partway along the chain
+    vectors = [pool[i] for i in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(lambda ix: ix * 2))]
+    expected = Multivector.scalar(sig, 1)
+    for v in vectors:
+        expected = expected * v
+    assert list(spin_from_vectors(vectors).value.items()) == list(expected.items())
+
+
+def test_spin_from_vectors_rejects_bad_factors():
+    e1 = Multivector.generator(CL20, 1)
+    with pytest.raises(ValueError, match="need at least one vector"):
+        spin_from_vectors([])
+    with pytest.raises(ValueError, match="need an even number of vectors"):
+        spin_from_vectors([e1, e1, e1])
+    for other in (Multivector.blade(CL20, 0b11), Multivector.scalar(CL20, 2), e1 + Multivector.scalar(CL20, 1)):
+        with pytest.raises(ValueError, match="factors must be pure vectors"):
+            spin_from_vectors([e1, other])
+    with pytest.raises(ValueError, match=r"signature mismatch: Signature\(p=2, q=0.* vs Signature\(p=1, q=1"):
+        spin_from_vectors([e1, Multivector.generator(CL11, 1)])
+
+
 def test_random_spin_element_is_deterministic():
     sig = Signature(4, 4, INTERLEAVED)
     a = random_spin_element(sig, 31337, k=2)
