@@ -123,36 +123,47 @@ def blade_product(b1: int, b2: int, sig: Signature) -> tuple[int, int]:
     The result mask is the XOR of the factor masks; the sign is (-1) to the
     number of transpositions needed to interleave the factors into canonical
     ascending order, times sigma(i) for every index present in both blades.
-    Only parities matter: bit j of ``above`` is the parity of the factors of
-    b1 above position j (a suffix XOR over at most MAX_DIM bits), so the
-    transpositions are counted by one popcount, and so are the common
-    factors that square to -1.
+    Only parities matter, so the sign is one popcount of b2 against
+    :func:`_sign_mask` (a suffix XOR over at most MAX_DIM bits).
     """
     dim = sig.p + sig.q
     if b1 >> dim or b2 >> dim:
         raise ValueError("blade mask outside the algebra's generators")
+    negative = _negative_mask(sig.p, sig.q, sig.ordering) if b1 & b2 else 0
+    flips = _sign_mask(b1, negative) & b2
+    return -1 if flips.bit_count() & 1 else 1, b1 ^ b2
+
+
+def _sign_mask(b1: int, negative: int) -> int:
+    """The mask whose overlap with b2 has the parity of the sign of b1 b2:
+    bit j of ``above`` is the parity of the factors of b1 above position j,
+    and ``common`` marks the factors of b1 that square to -1, which count
+    where b2 shares them.  Both parities add under XOR."""
     above = b1 >> 1
     above ^= above >> 1
     above ^= above >> 2
     above ^= above >> 4
     above ^= above >> 8
-    flips = (above & b2).bit_count()
-    common = b1 & b2
-    if common:
-        flips += (common & _negative_mask(sig.p, sig.q, sig.ordering)).bit_count()
-    return -1 if flips & 1 else 1, b1 ^ b2
+    common = b1 & negative
+    return above ^ common
 
 
 def _numerator_product(
     left: Iterable[tuple[int, int]], right: Sequence[tuple[int, int]], sig: Signature
 ) -> dict[int, int]:
     """Product of two (mask, integer numerator) term lists, by result blade
-    in first-reached order; entries that cancel stay, as 0."""
+    in first-reached order; entries that cancel stay, as 0.  The masks are
+    valid by construction, so the sign is read as in :func:`blade_product`,
+    with the negative mask looked up once and the sign mask of each left
+    term formed once."""
     out: dict[int, int] = {}
+    negative = _negative_mask(sig.p, sig.q, sig.ordering)
     for m1, a in left:
+        flips = _sign_mask(m1, negative)
+        negated = -a
         for m2, b in right:
-            sign, mask = blade_product(m1, m2, sig)
-            out[mask] = out.get(mask, 0) + (a * b if sign > 0 else -a * b)
+            mask = m1 ^ m2
+            out[mask] = out.get(mask, 0) + (negated if (flips & m2).bit_count() & 1 else a) * b
     return out
 
 

@@ -34,6 +34,7 @@ from .blades import _ZERO, Multivector, Rational, Signature, blade_indices, mask
 from .errors import InvariantViolation
 from .linalg import _cleared
 from .matrices import (
+    _as_fractions,
     _check_coords,
     _integer_columns,
     _point_rows,
@@ -91,6 +92,14 @@ class SpinorCoords:
             raise ValueError(f"rank {n} spinors have {1 << n} coordinates, got {len(values)}")
         self.n = n
         self.values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+
+    @classmethod
+    def _from_values(cls, n: int, values: list[Fraction]) -> "SpinorCoords":
+        """Wrap 2^n values that are ``Fraction``s by construction."""
+        out = cls.__new__(cls)
+        out.n = n
+        out.values = values
+        return out
 
     @classmethod
     def from_low_grade(
@@ -190,8 +199,8 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     the top half when Xi' = 0).  It forms one ``Fraction`` per distinct
     nonzero entry.
     """
-    coords = [Fraction(v) for v in x]
-    if all(v == 0 for v in coords):
+    coords = _as_fractions(x)
+    if not any(coords):
         raise ValueError("the zero vector does not represent a point")
     if quadratic_form(coords) != 0:
         raise ValueError("kernel spinors exist only for absolute points")
@@ -209,7 +218,7 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
             if entry is None:
                 entry = fractions[value, denominator] = Fraction(value, denominator)
             values[r] = entry
-        out.append(SpinorCoords(n, values))
+        out.append(SpinorCoords._from_values(n, values))
     return out
 
 
@@ -244,7 +253,7 @@ def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int],
     lower_point = c[:-2]
     if beta:
         return [
-            (h + j, {**{r: -v for r, v in column.items() if v}, h + j: beta}, beta)
+            (h + j, {**{r: -v for r, v in column.items()}, h + j: beta}, beta)
             for j, column in enumerate(_integer_columns(n - 1, lower_point))
         ]
     if not any(lower_point):
@@ -500,7 +509,7 @@ def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[Spino
     out = []
     for start in range(0, len(values), size):
         image = _signed_sum(images, {j: v for j, v in enumerate(values[start : start + size]) if v})
-        out.append(SpinorCoords(n, [Fraction(image.get(r, 0), scale) for r in range(size)]))
+        out.append(SpinorCoords._from_values(n, [Fraction(image.get(r, 0), scale) for r in range(size)]))
     return out
 
 

@@ -42,11 +42,13 @@ Only this module reads the triples.  Geometry and the CLI act through
 :func:`_signed_sum`, the integer sum of signed permutations applied to a
 spinor, and read the images E_i of :func:`point_blade_images` only through
 it and :func:`_point_rows`: the x^i coefficient of row r of Xi(x) a = 0 is a
-signed copy of the one coordinate of a that E_i sends to row r.  An
-evaluated Xi(x) is summed in integers, c^i E_i over the coordinates cleared
-to one denominator, and forms one ``Fraction`` per distinct nonzero entry;
-the kernel read-off of the geometry module takes the columns of Xi(x) from
-the same integer sum.
+signed copy of the one coordinate of a that E_i sends to row r.  Every entry
+of Xi(x) is one of 4n integer forms, +-x^0 and +-x^(2l-1) +- x^(2l), so an
+evaluated Xi(x) reads a per-rank table off the triples once
+(:func:`_triple_pattern`): each form is summed once over the coordinates
+cleared to one denominator, one ``Fraction`` is formed per distinct nonzero
+value, and the table places the entries.  The kernel read-off of the
+geometry module takes the columns of Xi(x) from the same table.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -132,6 +136,12 @@ def point_blade_images(n: int) -> tuple[SignedPerm, ...]:
     for i in range(1, 2 * n + 1):
         images.append(blade_image(n, full ^ (1 << (i - 1))))
     return tuple(images)
+
+
+#: The entries of a point matrix as integer forms: the distinct forms
+#: sum_i k x^i as tuples of (i, k) pairs, and for each row, or each column,
+#: its (column or row, form index) pairs.
+FormTable = tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _signed_sum(terms: Iterable[tuple[SignedPerm, int]], vector: Mapping[int, int]) -> dict[int, int]:
@@ -250,7 +260,13 @@ def _check_coords(n: int, x: Sequence[Rational]) -> list[Fraction]:
     _check_rank(n)
     if len(x) != 2 * n + 1:
         raise ValueError(f"rank {n} needs 2n+1 = {2 * n + 1} coordinates, got {len(x)}")
-    return [Fraction(v) for v in x]
+    return _as_fractions(x)
+
+
+def _as_fractions(x: Iterable[Rational]) -> list[Fraction]:
+    """The values as ``Fraction``s, keeping those whose type is exactly
+    ``Fraction``, so that a converted list is not converted again."""
+    return [v if type(v) is Fraction else Fraction(v) for v in x]
 
 
 @lru_cache(maxsize=None)
@@ -276,37 +292,66 @@ def build_xi_symbolic(n: int) -> XiMatrix:
 
 
 def build_xi(x: Sequence[Rational]) -> XiMatrix:
-    """Evaluated point matrix: the integer sum of :func:`_integer_columns`
-    over the lcm of the coordinate denominators, with one ``Fraction`` per
-    distinct nonzero entry."""
+    """Evaluated point matrix from the per-rank :func:`_triple_pattern`: each
+    integer form is summed once over the coordinates cleared to the lcm of
+    their denominators, one ``Fraction`` is formed per distinct nonzero value,
+    and every other entry is the shared zero."""
     if len(x) % 2 == 0 or len(x) < 3:
         raise ValueError("point coordinates come as x^0..x^{2n}, an odd count >= 3")
     n = (len(x) - 1) // 2
     ints, scale = _cleared(_check_coords(n, x))
+    forms, columns = _triple_pattern(n)
+    fractions = {0: _ZERO}
+    entries = []
+    for form in forms:
+        value = sum(k * ints[i] for i, k in form)
+        entry = fractions.get(value)
+        if entry is None:
+            entry = fractions[value] = Fraction(value, scale)
+        entries.append(entry)
     size = 1 << n
     rows = [[_ZERO] * size for _ in range(size)]
-    fractions: dict[int, Fraction] = {}
-    for c, column in enumerate(_integer_columns(n, ints)):
-        for r, value in column.items():
-            if value:
-                entry = fractions.get(value)
-                if entry is None:
-                    entry = fractions[value] = Fraction(value, scale)
-                rows[r][c] = entry
+    for c, column in enumerate(columns):
+        for r, f in column:
+            rows[r][c] = entries[f]
     return XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
 
 
 def _integer_columns(n: int, ints: Sequence[int]) -> list[dict[int, int]]:
     """The columns of sum_i c^i E_i for integers c^0..c^{2n}, each as a map
-    from row to entry; an entry is 0 where two images cancel.  At n = 0 the
-    one image is the identity, so the matrix is [[c^0]]."""
-    columns: list[dict[int, int]] = [{} for _ in range(1 << n)]
-    for (a, b, s), c in zip(point_blade_images(n), ints):
-        if c:
-            c *= s
-            for j, column in enumerate(columns):
-                column[j ^ a] = column.get(j ^ a, 0) + (-c if (b & j).bit_count() & 1 else c)
-    return columns
+    from row to its nonzero entries, evaluated from :func:`_triple_pattern`.
+    At n = 0 the one image is the identity, so the matrix is [[c^0]]."""
+    forms, columns = _triple_pattern(n)
+    values = [sum(k * ints[i] for i, k in form) for form in forms]
+    return [{r: values[f] for r, f in column if values[f]} for column in columns]
+
+
+@lru_cache(maxsize=None)
+def _triple_pattern(n: int) -> FormTable:
+    """The entries of sum_i x^i E_i, read off the triples of
+    :func:`point_blade_images`: the distinct integer forms, 4n of them at
+    rank n >= 1, and for each column its (row, form index) pairs.  Built on
+    first use, once per rank."""
+    terms = []
+    for i, (a, b, s) in enumerate(point_blade_images(n)):
+        for j in range(1 << n):
+            terms.append((j, j ^ a, i, -s if (b & j).bit_count() & 1 else s))
+    return _grouped_forms(1 << n, terms)
+
+
+def _grouped_forms(size: int, terms: Iterable[tuple[int, int, int, int]]) -> FormTable:
+    """Group (outer, inner, i, k) terms, k x^i at entry (outer, inner), into
+    the distinct forms sum_i k x^i, as tuples of (i, k) pairs in the terms'
+    order, and for each outer index its (inner, form index) pairs by inner."""
+    entries: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(size)]
+    for outer, inner, i, k in terms:
+        entries[outer].setdefault(inner, []).append((i, k))
+    forms: dict[tuple[tuple[int, int], ...], int] = {}
+    groups = tuple(
+        tuple((inner, forms.setdefault(tuple(form), len(forms))) for inner, form in sorted(entry.items()))
+        for entry in entries
+    )
+    return tuple(forms), groups
 
 
 def xi_square_check(x: Sequence[Rational]) -> Fraction:
@@ -315,26 +360,21 @@ def xi_square_check(x: Sequence[Rational]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _point_pattern(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _point_pattern(n: int) -> FormTable:
     """The entries of Xi(x) = sum_i x^i C_i, read off the C_i whose Clifford
     relations :func:`build_xi_symbolic` has just decided: the distinct
     integer forms sum_i k x^i as (i, k) pairs, and for each row its
     (column, form index) pairs, one per entry that is not identically 0.
 
     The forms come from the ``Poly`` block recursion, not from the
-    signed-permutation triples, so a point check against them is a second
-    route to the one :func:`build_xi` sums.
+    signed-permutation triples of :func:`_triple_pattern`, so a point check
+    against them is a second route to the one :func:`build_xi` evaluates.
     """
-    entries: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(1 << n)]
-    for i, columns in enumerate(_coefficient_columns(build_xi_symbolic(n))):
-        for c, column in enumerate(columns):
-            for r, k in column:
-                entries[r].setdefault(c, []).append((i, k))
-    forms: dict[tuple[tuple[int, int], ...], int] = {}
-    rows = tuple(
-        tuple((c, forms.setdefault(tuple(form), len(forms))) for c, form in sorted(row.items())) for row in entries
+    coefficients = _coefficient_columns(build_xi_symbolic(n))
+    return _grouped_forms(
+        1 << n,
+        ((r, c, i, k) for i, columns in enumerate(coefficients) for c, column in enumerate(columns) for r, k in column),
     )
-    return tuple(forms), rows
 
 
 def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational]) -> bool:
@@ -342,11 +382,17 @@ def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational])
     at x, compared in integers with no ``Fraction`` formed.
 
     x is cleared to integers c^i over one denominator L, each form is summed
-    once as f = sum_i k c^i, and an entry p/q is f/L exactly when p L = f q.
-    A row then holds nothing else when its count of zeros is the size less
-    its nonzero forms; ``tuple.count`` runs in C and short-cuts on the
-    shared zero that :func:`build_xi` writes.  Anything that is not a
-    2^n x 2^n matrix of rationals at 2n+1 coordinates is left to the square.
+    once as f = sum_i k c^i, and an entry p/q is f/L exactly when p L = f q;
+    an entry that is the very object last found equal to its form's value,
+    as the entries :func:`build_xi` shares are, is not compared again.  A
+    row then holds nothing else when its count of zeros is the size less its
+    nonzero forms.  The zeros are counted by identity with the shared
+    zero that :func:`build_xi` writes, in C and with no ``Fraction``
+    comparison; only a row whose count falls short, such as one holding
+    other zero objects, is counted exactly by ``==``.  As the nonzero forms
+    are checked nonzero, the identity count reaching the size less them
+    implies the exact count does.  Anything that is not a 2^n x 2^n matrix
+    of rationals at 2n+1 coordinates is left to the square.
     """
     if len(x) != 2 * n + 1 or n > MAX_RANK or len(entries) != 1 << n:
         return False
@@ -354,6 +400,7 @@ def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational])
     forms, pattern = _point_pattern(n)
     ints, scale = _cleared([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x])
     values = [sum(k * ints[i] for i, k in form) for form in forms]
+    checked = [None] * len(forms)
     try:
         for row, expected in zip(entries, pattern):
             if len(row) != size:
@@ -362,11 +409,14 @@ def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational])
             for c, f in expected:
                 value = values[f]
                 entry = row[c]
-                if entry.numerator * scale != value * entry.denominator:
-                    return False
+                if entry is not checked[f]:
+                    if entry.numerator * scale != value * entry.denominator:
+                        return False
+                    checked[f] = entry
                 if value:
                     nonzero += 1
-            if row.count(_ZERO) != size - nonzero:
+            zeros = size - nonzero
+            if sum(map(is_, row, repeat(_ZERO))) != zeros and row.count(_ZERO) != zeros:
                 return False
     except (AttributeError, TypeError):
         return False

@@ -26,7 +26,9 @@ plain ``Fraction`` elimination behind Pf^2 = det.
 The evaluated point matrix is an integer sum, and the kernel at an absolute
 point is read off the block recursion.  The ``Fraction`` accumulation of the
 images E_i and the reduced-echelon null space of that matrix are the routes
-they replaced.
+they replaced.  Both now evaluate a per-rank table of integer forms read off
+the triples; the integer sum of the images, column by column, is the route
+that table replaced.
 
 A signed permutation is three integers (a, b, s) in the library, and a blade
 image a fold of its generators' triples.  The 2^n-long (perm, signs) tables
@@ -51,7 +53,7 @@ from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
 from spinorlab.geometry import generator_rows, kernel_spinors
-from spinorlab.matrices import quadratic_form, rep_multivector
+from spinorlab.matrices import point_blade_images, quadratic_form, rep_multivector
 from spinorlab.poly import Poly
 
 
@@ -167,6 +169,19 @@ def fraction_build_xi(x):
         if coeff:
             scale_add_into(table_blade_image(n, mask), out, coeff)
     return out
+
+
+def triple_sum_columns(n, ints):
+    """The columns of sum_i c^i E_i for integers c^0..c^{2n}, summed image by
+    image over the triples of the E_i, each as a map from row to entry; an
+    entry is 0 where two images cancel."""
+    columns = [{} for _ in range(1 << n)]
+    for (a, b, s), c in zip(point_blade_images(n), ints):
+        if c:
+            c *= s
+            for j, column in enumerate(columns):
+                column[j ^ a] = column.get(j ^ a, 0) + (-c if (b & j).bit_count() & 1 else c)
+    return columns
 
 
 def null_space_kernel(x):

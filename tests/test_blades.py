@@ -19,7 +19,7 @@ from spinorlab import (
     volume_element,
     volume_square,
 )
-from spinorlab.blades import MAX_DIM
+from spinorlab.blades import MAX_DIM, _numerator_product
 
 import dense
 from dense import grades
@@ -400,6 +400,24 @@ def test_blade_product_matches_oracle_up_to_max_dim(data):
     masks = st.integers(0, (1 << sig.dim) - 1)
     b1, b2 = data.draw(masks), data.draw(masks)
     assert blade_product(b1, b2, sig) == oracle_blade_product(b1, b2, sig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numerator_product_equals_a_blade_product_double_loop(data):
+    """The product loop's hoisted sign against ``blade_product`` term pair by
+    term pair, at dims up to MAX_DIM, plain and interleaved: the same
+    integers in the same first-reached order, cancelled blades kept as 0."""
+    sig = data.draw(signatures(max_dim=MAX_DIM))
+    masks = st.integers(0, (1 << sig.dim) - 1)
+    terms = st.lists(st.tuples(masks, st.integers(-10**6, 10**6)), max_size=10)
+    left, right = data.draw(terms), data.draw(terms)
+    expected = {}
+    for m1, a in left:
+        for m2, b in right:
+            sign, mask = blade_product(m1, m2, sig)
+            expected[mask] = expected.get(mask, 0) + sign * a * b
+    assert list(_numerator_product(left, right, sig).items()) == list(expected.items())
 
 
 def test_dense_product_at_dim_10_within_budget():

@@ -118,6 +118,28 @@ def test_kernel_rejects_non_absolute():
         kernel_spinors([0, 0, 0, 0, 0])
 
 
+def test_kernel_spinors_error_messages_in_order():
+    # zero vector, then odd count, then non-absolute, then rank: each case
+    # also fails every later check
+    zero = "the zero vector does not represent a point"
+    odd = "point coordinates come as x^0..x^{2n}, an odd count >= 3"
+    absolute = "kernel spinors exist only for absolute points"
+    cases = [
+        ([], zero),
+        ([0, 0], zero),
+        ([Fraction(0)] * 19, zero),
+        ([1, 1], odd),
+        ([1, 0, 0, 0], odd),
+        ([1, 0, 0], absolute),
+        ([Fraction(1, 2)] + [0] * 18, absolute),
+        ([0, 1, 1] + [0] * 16, "neutral rank must lie in 1..8, got 9"),
+    ]
+    for x, message in cases:
+        with pytest.raises(ValueError) as raised:
+            kernel_spinors(x)
+        assert str(raised.value) == message, x
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_dimension_on_integer_grid(n):
     # exhaustive over all absolute points with coordinates in {-1, 0, 1}

@@ -1,9 +1,13 @@
 """Recursive matrix representation and the point matrices."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -411,10 +415,12 @@ def test_squaring_is_reached_for_every_matrix_that_is_not_xi(squarings):
 
 def test_point_check_is_independent_of_the_triples(monkeypatch):
     # the point pattern comes from the decided C_i, not from point_blade_images:
-    # a build_xi that sums a broken image is still caught
+    # a build_xi that sums a broken image is still caught; both per-rank tables
+    # are cleared, or a cached triple table would hide the broken image
     images = matrices.point_blade_images(3)
     broken = (images[0], images[2]) + images[2:]  # E_1 replaced by E_2
     matrices._point_pattern.cache_clear()
+    matrices._triple_pattern.cache_clear()
     monkeypatch.setattr(matrices, "point_blade_images", lambda n: broken if n == 3 else images)
     try:
         x = [1, 2, 3, 0, 0, 0, 0]
@@ -422,6 +428,97 @@ def test_point_check_is_independent_of_the_triples(monkeypatch):
             build_xi(x).verify_square_identity(x)
     finally:
         matrices._point_pattern.cache_clear()
+        matrices._triple_pattern.cache_clear()
+
+
+def _with_fresh_zeros(entries, zero):
+    """The rows with every shared zero replaced by a fresh zero object."""
+    return [[(Fraction(zero) if type(zero) is Fraction else zero) if v is _ZERO else v for v in row] for row in entries]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_point_check_counts_other_zero_objects_exactly(n, squarings):
+    # the identity count of the shared zero falls short on fresh Fraction(0)
+    # or 0 objects, and the exact count decides them: still no squaring
+    rng = random.Random(740 + n)
+    for x in _points_with_cancelling_entries(n, rng):
+        for zero in (Fraction(0), 0):
+            rows = _with_fresh_zeros(build_xi(x).entries, zero)
+            assert not any(v is _ZERO for row in rows for v in row)
+            xi = XiMatrix(n, tuple(map(tuple, rows)), symbolic=False)
+            assert xi.verify_square_identity(x) == quadratic_form(x)
+    assert squarings == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_point_check_squares_a_stray_entry_among_other_zero_objects(n, squarings):
+    # an entry off the pattern that is not zero fails the exact count too, and
+    # the squaring names it, with shared and with fresh zeros around it
+    rng = random.Random(760 + n)
+    x = _points_with_cancelling_entries(n, rng)[-1]
+    q = quadratic_form(x)
+    forms, pattern = matrices._point_pattern(n)
+    c = min(set(range(1 << n)) - {c for c, _ in pattern[0]})
+    for rows in (build_xi(x).rows(), _with_fresh_zeros(build_xi(x).entries, Fraction(0))):
+        rows[0][c] = Fraction(1, 3)
+        expected = first_square_failure(rows, q)
+        with pytest.raises(InvariantViolation, match=re.escape(f"point-matrix square identity failed at {expected}")):
+            XiMatrix(n, tuple(map(tuple, rows)), symbolic=False).verify_square_identity(x)
+    assert squarings == [1, 1]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+def test_triple_table_build_equals_the_poly_evaluation_and_the_fraction_build(n):
+    # build_xi evaluates the table read off the triples; the Poly evaluation
+    # of the decided symbolic matrix shares no code with its grouping, and the
+    # Fraction accumulation of the images E_i none with its table
+    rng = random.Random(800 + n)
+    symbolic = build_xi_symbolic(n)
+    points = _points_with_cancelling_entries(n, rng)
+    points.append([Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(2 * n + 1)])
+    for x in points if n < 7 else points[::3]:
+        entries = build_xi(x).entries
+        assert entries == symbolic.evaluate(x).entries
+        assert [list(row) for row in entries] == dense.fraction_build_xi(x)
+        assert all(type(v) is Fraction for row in entries for v in row)
+        assert all(v is _ZERO for row in entries for v in row if not v)
+
+
+@pytest.mark.parametrize("n", range(0, MAX_RANK + 1))
+def test_integer_columns_equal_the_triple_sum(n):
+    # the table's columns against the image-by-image sum over the triples,
+    # with the entries that cancel dropped
+    rng = random.Random(820 + n)
+    for x in _points_with_cancelling_entries(n, rng):
+        ints = linalg._cleared([Fraction(v) for v in x])[0]
+        expected = [{r: v for r, v in column.items() if v} for column in dense.triple_sum_columns(n, ints)]
+        assert matrices._integer_columns(n, ints) == expected
+
+
+def test_triple_table_is_built_on_first_use():
+    # nothing builds the table at import, so it never counts as start-up work
+    code = (
+        "import spinorlab, spinorlab.cli\n"
+        "from spinorlab import matrices\n"
+        "print(matrices._triple_pattern.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(matrices.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_triple_table_at_max_rank_within_budget():
+    """The table at MAX_RANK from a cleared cache, plus one build and check,
+    under 1 s (about 3 ms on a 2-vCPU VM); the symbolic side it is checked
+    against is built outside the timed region."""
+    rng = random.Random(89)
+    x = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(2 * MAX_RANK + 1)]
+    matrices._point_pattern(MAX_RANK)
+    matrices._triple_pattern.cache_clear()
+    started = time.perf_counter()
+    matrices._triple_pattern(MAX_RANK)
+    assert build_xi(x).verify_square_identity(x) == quadratic_form(x)
+    assert time.perf_counter() - started < 1.0
 
 
 @settings(max_examples=80, deadline=None)
