@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .blades import _ZERO, Multivector, Rational, Signature, blade_indices, mask_from_indices
 from .errors import InvariantViolation
-from .linalg import _cleared
+from .linalg import _cleared, _eliminate
 from .matrices import (
     _as_fractions,
     _check_coords,
@@ -348,7 +349,7 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     n = a.n
     rows = generator_rows(a)
     # a row is kept exactly when it is a pivot column of the transposed system
-    _, kept_masks = linalg.rref(list(zip(*rows)))
+    kept_masks = _eliminate(list(zip(*rows)), reduced=False)[1]
     if len(kept_masks) != n + 1:
         raise InvariantViolation(f"generator system has rank {len(kept_masks)}, not n+1 = {n + 1}")
     kept_rows = [rows[r] for r in kept_masks]
@@ -432,6 +433,8 @@ def _validate_generator_geometry(g: PlaneGenerator) -> None:
         raise ValueError("generator has an empty solution basis")
     if any(len(v) != 2 * g.n + 1 for v in g.basis):
         raise ValueError(f"generator basis points need {2 * g.n + 1} coordinates")
+    if any(len(row) != 2 * g.n + 1 for row in g.equations):
+        raise ValueError(f"generator equations need {2 * g.n + 1} coefficients")
     rows = [_cleared(v)[0] for v in g.basis]
 
     def form(u: list[int], v: list[int]) -> int:
@@ -448,28 +451,39 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
 
     One route: the pure spinor is Chevalley's product Xi(w_1)...Xi(w_n) e_M
     over independent points w_i of the plane, for the first basis spinor e_M
-    in mask order that it does not kill.  Two representatives: when the
-    stored equations are the canonical rows b, b^1..b^n, the scalar
-    coordinate is nonzero and the rows are lambda times the product's, the
-    stored representative lambda * product is returned; otherwise (a zero
-    scalar coordinate, or other rows) the primitive integer representative,
-    after the plane is checked against the stored equations.
+    in mask order that it does not kill.  That every basis point kills it is
+    checked once, on the product, since a scaled copy kills the same points.
+
+    Its solution set {x : Xi(x) a = 0} is then exactly the plane: on it
+    Xi(x)^2 = Q(x) I with Xi(x) a = 0 and a nonzero, so Q(x) = 0 there, and
+    as a linear space the set is totally isotropic, of dimension at most n;
+    it holds the n-dimensional plane.  So the spinor needs no second purity
+    or rank decision, and the stored equations match its generator exactly
+    when each vanishes on each basis point and they have rank n+1, both
+    decided in integers.
+
+    Two representatives: when the stored equations are the canonical rows
+    b, b^1..b^n, the scalar coordinate is nonzero and the rows are lambda
+    times the product's, the stored representative lambda * product is
+    returned; otherwise (a zero scalar coordinate, or other rows) the
+    primitive integer representative, after the equations are checked
+    against the plane.
     """
     _validate_generator_geometry(g)
     n = g.n
     product = _pure_spinor(n, g.basis)
-    if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and product[0]:
-        rows = generator_rows(SpinorCoords(n, product))
+    spinor = SpinorCoords(n, product)
+    _verify_spinor_matches(spinor, g)
+    if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and product[0] and len(g.equations) == n + 1:
+        rows = generator_rows(spinor)
         scale = g.equations[0][0] / rows[0][0]
         if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
-            spinor = SpinorCoords(n, [scale * v for v in product])
-            _verify_spinor_matches(spinor, g)
-            return spinor
-    spinor = SpinorCoords(n, _primitive(product))
-    induced = independent_system(spinor)
-    if not linalg.same_row_space([list(r) for r in induced.equations], [list(r) for r in g.equations]):
+            return SpinorCoords(n, [scale * v for v in product])
+    equations = [_cleared(row)[0] for row in g.equations]
+    points = [_cleared(point)[0] for point in g.basis]
+    if any(sum(map(mul, row, point)) for row in equations for point in points) or linalg.rank(equations) != n + 1:
         raise ValueError("inconsistent system: plane differs from the spinor's generator")
-    return spinor
+    return SpinorCoords(n, _primitive(product))
 
 
 def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:

@@ -4,6 +4,9 @@ Matrices are lists of row lists, and nothing here mutates its arguments.
 :func:`rref` eliminates fraction-free on primitive integer rows and turns
 to ``Fraction`` once, at the end; :func:`rank` counts the pivots of the
 same elimination, run below each pivot only, and forms no ``Fraction``.
+The geometry module reads those forward-only pivots too, for the rows a
+generator system keeps, and decides a generator's stored equations by one
+integer product and one :func:`rank`, so no row-space comparison is kept.
 Pivoting is deterministic (first nonzero entry in column order), which
 fixes echelon forms and null-space bases bit for bit.
 """
@@ -142,10 +145,3 @@ def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     for row_idx, piv in enumerate(pivots):
         solution[piv] = reduced[row_idx][n_cols]
     return solution
-
-
-def same_row_space(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    return rank(list(a) + list(b)) == ra

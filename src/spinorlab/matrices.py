@@ -56,9 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import lcm
-from operator import is_
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -360,21 +359,32 @@ def xi_square_check(x: Sequence[Rational]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _point_pattern(n: int) -> FormTable:
+def _point_pattern(n: int) -> tuple[tuple, tuple, tuple[itemgetter, ...]]:
     """The entries of Xi(x) = sum_i x^i C_i, read off the C_i whose Clifford
     relations :func:`build_xi_symbolic` has just decided: the distinct
-    integer forms sum_i k x^i as (i, k) pairs, and for each row its
-    (column, form index) pairs, one per entry that is not identically 0.
+    integer forms sum_i k x^i as (i, k) pairs, for each row its
+    (column, form index) pairs, one per entry that is not identically 0, and
+    for each row an ``itemgetter`` of its other entries, which returns them
+    as a sequence at every rank.
 
     The forms come from the ``Poly`` block recursion, not from the
     signed-permutation triples of :func:`_triple_pattern`, so a point check
     against them is a second route to the one :func:`build_xi` evaluates.
     """
+    size = 1 << n
     coefficients = _coefficient_columns(build_xi_symbolic(n))
-    return _grouped_forms(
-        1 << n,
+    forms, pattern = _grouped_forms(
+        size,
         ((r, c, i, k) for i, columns in enumerate(coefficients) for c, column in enumerate(columns) for r, k in column),
     )
+    off_pattern = []
+    for expected in pattern:
+        columns = sorted(set(range(size)).difference(c for c, _ in expected))
+        if len(columns) > 1:
+            off_pattern.append(itemgetter(*columns))
+        else:  # none at n = 1 and one at n = 2, where itemgetter gives no tuple; a slice does
+            off_pattern.append(itemgetter(slice(columns[0], columns[0] + 1) if columns else slice(0)))
+    return forms, pattern, tuple(off_pattern)
 
 
 def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational]) -> bool:
@@ -385,38 +395,31 @@ def _is_point_matrix(entries: Sequence[Sequence], n: int, x: Sequence[Rational])
     once as f = sum_i k c^i, and an entry p/q is f/L exactly when p L = f q;
     an entry that is the very object last found equal to its form's value,
     as the entries :func:`build_xi` shares are, is not compared again.  A
-    row then holds nothing else when its count of zeros is the size less its
-    nonzero forms.  The zeros are counted by identity with the shared
-    zero that :func:`build_xi` writes, in C and with no ``Fraction``
-    comparison; only a row whose count falls short, such as one holding
-    other zero objects, is counted exactly by ``==``.  As the nonzero forms
-    are checked nonzero, the identity count reaching the size less them
-    implies the exact count does.  Anything that is not a 2^n x 2^n matrix
-    of rationals at 2n+1 coordinates is left to the square.
+    row then holds nothing else when every entry off its pattern is zero:
+    one ``tuple.count`` of the shared zero over those entries, which
+    compares by identity first, so the zeros :func:`build_xi` writes cost
+    no ``Fraction`` comparison, and any other zero object is still counted
+    exactly by ``==``.  Anything that is not a 2^n x 2^n matrix of rationals
+    at 2n+1 coordinates is left to the square.
     """
     if len(x) != 2 * n + 1 or n > MAX_RANK or len(entries) != 1 << n:
         return False
     size = 1 << n
-    forms, pattern = _point_pattern(n)
+    forms, pattern, off_pattern = _point_pattern(n)
     ints, scale = _cleared([v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x])
     values = [sum(k * ints[i] for i, k in form) for form in forms]
     checked = [None] * len(forms)
     try:
-        for row, expected in zip(entries, pattern):
+        for row, expected, off in zip(entries, pattern, off_pattern):
             if len(row) != size:
                 return False
-            nonzero = 0
             for c, f in expected:
-                value = values[f]
                 entry = row[c]
                 if entry is not checked[f]:
-                    if entry.numerator * scale != value * entry.denominator:
+                    if entry.numerator * scale != values[f] * entry.denominator:
                         return False
                     checked[f] = entry
-                if value:
-                    nonzero += 1
-            zeros = size - nonzero
-            if sum(map(is_, row, repeat(_ZERO))) != zeros and row.count(_ZERO) != zeros:
+            if off(row).count(_ZERO) != size - len(expected):
                 return False
     except (AttributeError, TypeError):
         return False

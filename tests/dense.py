@@ -40,6 +40,10 @@ generator's isotropy is one integer Gram pass.  The ``Fraction`` reflection,
 the left-to-right ``Fraction`` product of its factors and the quadratic
 forms of the basis points and their pairwise sums are the routes they
 replaced; the first two pin the seeded elements item for item, in order.
+
+The generator round trip checks a plane's stored equations by one integer
+product with its basis and one rank.  Re-deriving the spinor's system and
+comparing row spaces by three ranks is the route it replaced.
 """
 
 import random
@@ -52,7 +56,7 @@ from spinorlab import linalg
 from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
-from spinorlab.geometry import generator_rows, kernel_spinors
+from spinorlab.geometry import SpinorCoords, _primitive, _pure_spinor, generator_rows, independent_system, kernel_spinors
 from spinorlab.matrices import point_blade_images, quadratic_form, rep_multivector
 from spinorlab.poly import Poly
 
@@ -196,7 +200,33 @@ def dense_kernel_equivariance(s, x, y):
     n = s.signature.p
     rep = rep_multivector(s.value, n)
     mapped = [mat_vec(rep, vec.values) for vec in kernel_spinors(x)]
-    return linalg.same_row_space(mapped, [list(vec.values) for vec in kernel_spinors(y)])
+    return same_row_space(mapped, [list(vec.values) for vec in kernel_spinors(y)])
+
+
+def same_row_space(a, b):
+    """Whether two lists of rows span the same space, by three ranks.
+
+    The library no longer compares row spaces: a generator's stored
+    equations span the plane's annihilator exactly when they vanish on its
+    basis and have rank n+1, one integer product and one rank.  This is the
+    comparison that check replaced, kept as its oracle and for the row-space
+    tests of motions.
+    """
+    ra, rb = linalg.rank(a), linalg.rank(b)
+    if ra != rb:
+        return False
+    return linalg.rank(list(a) + list(b)) == ra
+
+
+def system_generator_to_spinor(g):
+    """The round trip's check of a generator's stored equations, by the route
+    it replaced: the primitive Chevalley product's system re-derived by
+    ``independent_system`` and compared with the stored rows by row space.
+    The caller has validated the basis."""
+    spinor = SpinorCoords(g.n, _primitive(_pure_spinor(g.n, g.basis)))
+    if not same_row_space([list(r) for r in independent_system(spinor).equations], [list(r) for r in g.equations]):
+        raise ValueError("inconsistent system: plane differs from the spinor's generator")
+    return spinor
 
 
 def verify_symbolic_square(xi):

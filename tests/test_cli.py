@@ -340,12 +340,13 @@ def test_bad_input_is_an_error_line_not_a_traceback(args):
         (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 1),
         (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 1),
         (["generator", "--n", "3", "--a", "2,1,0,-1,1,1/2,3"], 1),
-        (["generator", "--n", "3", "--a", "0,1,0,2,0,3,0,0"], 2),
+        (["generator", "--n", "3", "--a", "0,1,0,2,0,3,0,0"], 1),
     ],
     ids=["spin_check", "motion_seeded", "generator_canonical", "generator_zero_scalar"],
 )
 def test_each_element_is_verified_once(monkeypatch, argv, passes):
-    # a generator with a zero scalar decides two spinors: its own and the recovered one
+    # a generator decides only its own spinor: the recovered one is Chevalley's
+    # product, pure by construction, with a zero scalar too
     counts = {"passes": 0, "inverse": 0}
     residual_numerators = spinorlab.spin._residual_numerators
     inverse = Multivector.inverse
@@ -363,6 +364,24 @@ def test_each_element_is_verified_once(monkeypatch, argv, passes):
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
     assert counts == {"passes": passes, "inverse": 0}
+
+
+@pytest.mark.parametrize("a", ["2,1,0,-1,1,1/2,3", "0,1,0,2,0,3,0,0"], ids=["canonical", "zero_scalar"])
+def test_generator_derives_one_system(monkeypatch, a):
+    # the round trip checks the stored equations against the plane, and does
+    # not re-derive the recovered spinor's system, on either branch
+    calls = []
+    system = spinorlab.geometry.independent_system
+
+    def counted(spinor):
+        calls.append(spinor)
+        return system(spinor)
+
+    monkeypatch.setattr(spinorlab.cli, "independent_system", counted)
+    monkeypatch.setattr(spinorlab.geometry, "independent_system", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert spinorlab.cli.main(["generator", "--n", "3", "--a", a]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

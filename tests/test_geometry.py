@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinorlab.cli
+import spinorlab.geometry
 from spinorlab import (
     INTERLEAVED,
     InvariantViolation,
@@ -647,6 +648,77 @@ def test_generator_to_spinor_rejects_partial_and_mismatched_planes():
                 generator_to_spinor(replace(other, basis=g.basis))
 
 
+def test_generator_to_spinor_rejects_malformed_equations():
+    # rows short of a coefficient, on the zero-scalar and the canonical branch;
+    # no rows at all cut out more than the plane
+    for a in (SpinorCoords(2, [0, 0, 0, 5]), SpinorCoords(2, [1, 0, 0, 0])):
+        g = independent_system(a)
+        for equations in (tuple(row[:-1] for row in g.equations), g.equations[:1] + (g.equations[1][:-1],)):
+            with pytest.raises(ValueError, match="^generator equations need 5 coefficients$"):
+                generator_to_spinor(replace(g, equations=equations))
+        with pytest.raises(ValueError, match="plane differs"):
+            generator_to_spinor(replace(g, equations=()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_to_spinor_rejects_a_dropped_equation(n):
+    # n of the n+1 equations still vanish on the plane, but have rank n
+    rng = random.Random(1000 + n)
+    for a in (random_relation_spinor(n, rng), dense_zero_scalar_spinor(n, rng)):
+        g = independent_system(a)
+        for k in range(n + 1):
+            dropped = replace(g, equations=g.equations[:k] + g.equations[k + 1 :])
+            with pytest.raises(ValueError, match="^inconsistent system: plane differs from the spinor's generator$"):
+                generator_to_spinor(dropped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_equation_check_agrees_with_the_rederived_system(n):
+    """The product-and-rank check against the re-derived system compared by
+    row space, on perturbed, dropped, repeated and mixed equations of
+    generators with nonzero and zero scalar coordinates; none of them keeps
+    the canonical rows, so both take the check."""
+    rng = random.Random(1040 + n)
+
+    def outcome(route, g):
+        try:
+            return route(g).values
+        except ValueError as error:
+            return str(error)
+
+    seen = set()
+    for _ in range(6):
+        for a in (random_relation_spinor(n, rng), dense_zero_scalar_spinor(n, rng)):
+            g = independent_system(a)
+            rows = [list(row) for row in g.equations]
+            k, i = rng.randrange(n + 1), rng.randrange(2 * n + 1)
+            perturbed = [row[:] for row in rows]
+            perturbed[k][i] += Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+            mixed = [row[:] for row in rows]
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            mixed[k] = [u + c * v for u, v in zip(mixed[k], mixed[(k + 1) % (n + 1)])]
+            variants = [perturbed, rows[:k] + rows[k + 1 :], rows + [rows[k]], mixed]
+            if not a.scalar_coord():
+                variants.append(rows)
+            for equations in variants:
+                changed = replace(g, equations=tuple(map(tuple, equations)))
+                expected = outcome(dense.system_generator_to_spinor, changed)
+                assert outcome(generator_to_spinor, changed) == expected
+                seen.add(isinstance(expected, str))
+    assert seen == {False, True}
+
+
+def test_round_trip_checks_the_product_against_the_plane(monkeypatch):
+    # a product that does not kill the plane is a broken convention, named by
+    # its first point, on the canonical and on the zero-scalar branch
+    for a, product in ((SpinorCoords(2, [1, 0, 0, 0]), [1, 0, 0, 1]), (SpinorCoords(2, [0, 0, 0, 5]), [1, 0, 0, 0])):
+        g = independent_system(a)
+        point = next(p for p in g.basis if not annihilates(list(p), SpinorCoords(2, product)))
+        monkeypatch.setattr(spinorlab.geometry, "_pure_spinor", lambda n, basis: list(product))
+        with pytest.raises(InvariantViolation, match=re.escape(f"generator point ({', '.join(map(str, point))})")):
+            generator_to_spinor(g)
+
+
 def test_primitive_vector():
     assert _primitive(frac([Fraction(1, 2), Fraction(-3, 2)])) == frac([1, -3])
     assert _primitive(frac([-2, 4])) == frac([1, -2])
@@ -896,7 +968,7 @@ def test_equivariance_square_commutes(n):
         moved_spinor = motion_on_spinors(s, a)
         moved_generator = independent_system(moved_spinor)
         image_points = [motion_on_points(s, list(p)) for p in g.basis]
-        assert linalg.same_row_space(
+        assert dense.same_row_space(
             image_points, [list(p) for p in moved_generator.basis]
         )
         recovered = generator_to_spinor(moved_generator)

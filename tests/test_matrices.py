@@ -457,7 +457,7 @@ def test_point_check_squares_a_stray_entry_among_other_zero_objects(n, squarings
     rng = random.Random(760 + n)
     x = _points_with_cancelling_entries(n, rng)[-1]
     q = quadratic_form(x)
-    forms, pattern = matrices._point_pattern(n)
+    forms, pattern, _ = matrices._point_pattern(n)
     c = min(set(range(1 << n)) - {c for c, _ in pattern[0]})
     for rows in (build_xi(x).rows(), _with_fresh_zeros(build_xi(x).entries, Fraction(0))):
         rows[0][c] = Fraction(1, 3)
