@@ -11,7 +11,8 @@ are independent, and the solution set is a maximal isotropic subspace of
 projective dimension n-1.  Purity is decided by the one chart-and-relations
 test of the spin module: renaming odd-index coordinates a^{i1..ik} to
 a^{i1..ik,n+1} makes a an even element of rank n+1, whose chart must obey
-the Pfaffian relations, exactly as a spin element's does.
+the Pfaffian relations, exactly as a spin element's does, and they are
+decided by the same quadric pass.
 The representing spinor is determined by the generator up to scale, and up
 to sign once normalized: it is Chevalley's pure spinor, the product
 Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
@@ -46,7 +47,8 @@ from .matrices import (
     point_blade_images,
     quadratic_form,
 )
-from .spin import SpinElement, _chart, _rotate, _skew_table, completed_coords, is_spin_plus, relation_residuals
+from .spin import SpinElement, _chart, _obeys_relations, _rotate, _skew_table, completed_coords, is_spin_plus
+from .spin import relation_residuals
 
 Coords = Sequence[Rational]
 
@@ -131,19 +133,25 @@ class SpinorCoords:
 
     def relation_residuals(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Residuals of the coordinate relations of the renamed element's
-        chart (``spin._chart``); all zero exactly on pure spinors.
+        chart; all zero exactly on pure spinors."""
+        return relation_residuals(self._chart().coefficient, self.n + 1)
 
-        The renamed element is built in Cl(n+1, 0).  Right multiplication by
-        a blade maps the relation variety into itself in every signature, so
-        the choice of signature does not change the verdict.  With a nonzero
-        scalar the chart is the renamed element itself.
+    def satisfies_relations(self) -> bool:
+        """Whether the spinor is pure: the chart obeys the relations, decided
+        by the Lipschitz verdict's quadrics (``spin._obeys_relations``)."""
+        return _obeys_relations(self._chart())
+
+    def _chart(self) -> Multivector:
+        """``spin._chart`` of the renamed element, built in Cl(n+1, 0).
+
+        Right multiplication by a blade maps the relation variety into itself
+        in every signature, so the choice of signature does not change the
+        verdict.  With a nonzero scalar the chart is the renamed element
+        itself.
         """
         n = self.n
         terms = {_renamed(mask, n): value for mask, value in enumerate(self.values) if value}
-        return relation_residuals(_chart(Multivector._from_terms(Signature(n + 1, 0), terms)).coefficient, n + 1)
-
-    def satisfies_relations(self) -> bool:
-        return all(value == 0 for _, value in self.relation_residuals())
+        return _chart(Multivector._from_terms(Signature(n + 1, 0), terms))
 
     @staticmethod
     def coordinate_name(mask: int) -> str:
@@ -336,8 +344,8 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     """
     if a.is_zero():
         raise ValueError("the zero spinor does not define a generator")
-    bad = next((idx for idx, val in a.relation_residuals() if val != 0), None)
-    if bad is not None:
+    if not a.satisfies_relations():
+        bad = next(idx for idx, val in a.relation_residuals() if val != 0)
         if a.scalar_coord():
             raise ValueError(f"coordinate relations fail, first residual at {bad}")
         low = min(_renamed(mask, a.n) for mask, value in enumerate(a.values) if value)
@@ -496,10 +504,12 @@ def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
     """
     points, pivots = linalg.rref(basis)
     if len(pivots) == n:
+        images = point_blade_images(n)
+        factors = [list(zip(images, _cleared(point)[0])) for point in reversed(points[:n])]
         for mask in range(1 << n):
             vector = {mask: 1}
-            for point in reversed(points[:n]):
-                vector = _signed_sum(zip(point_blade_images(n), _cleared(point)[0]), vector)
+            for factor in factors:
+                vector = _signed_sum(factor, vector)
             if vector:
                 return [vector.get(r, 0) for r in range(1 << n)]
     raise ValueError("plane does not determine a unique spinor ray")
@@ -540,8 +550,11 @@ def annihilates(x: Coords, *spinors: SpinorCoords) -> bool:
 
 
 def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
+    """Xi(w) a = 0 for every basis point w, on one clearing of a."""
+    images = point_blade_images(g.n)
+    vector = {j: c for j, c in enumerate(_cleared(a.values)[0]) if c}
     for point in g.basis:
-        if not annihilates(point, a):
+        if _signed_sum(zip(images, _cleared(point)[0]), vector):
             raise InvariantViolation(
                 f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )

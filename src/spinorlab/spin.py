@@ -20,26 +20,37 @@ nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
 ones (:func:`reconstruct_from_low_grade`); on the geometry side the a = 0
 case comes from Chevalley's product instead.  Every Pfaffian is read from
 one table over index masks (:func:`pfaffians`), built in a single pass.
+With a != 0 the relations are equivalent to quadrics of degree 2 (C.
+Chevalley, *The Algebraic Theory of Spinors*, 1954),
+
+    a * a^I = sum_j +-a^{i1 j} * a^{I - {i1, j}},
+
+i1 the lowest index of I; above the top grade of an element both sides
+vanish, so a verdict checks these up to size top + 2 and stops at the first
+that fails (:func:`_obeys_relations`), with no Pfaffian table.  The report
+(:func:`check_relations`) keeps the table and every residual.
 
 Each element is verified once.  A :class:`SpinElement` is immutable and
 keeps two values, each decided in one place: N(s), read once through
-:func:`spin_norm`, and its Lipschitz verdict, N(s) != 0 and the relations
-of its chart.  The chart (:func:`_chart`) is the one chart-and-relations
-decision: the Lipschitz verdicts and the purity of a spinor in the geometry
-module both read it.  With a nonzero scalar an element is its own chart, so
-:func:`check_relations` seeds the verdict from its own residuals.
-:func:`spin_norm` is the one computation of N(s); both of its routes read the
-element's own terms, since only a blade times itself reaches the scalar
-blade.  A verified element has s^-1 = reverse(s) / N(s), so no action
-inverts it.  A rotation reads only the grade-1 coefficients of
-(s x) reverse(s) / N and checks s x = y s exactly; the point motions of the
-geometry module are these rotations.
+:func:`spin_norm`, and its Lipschitz verdict, N(s) != 0 and the quadrics
+of its chart.  The chart (:func:`_chart`) and the quadric pass are the one
+chart-and-relations decision: the Lipschitz verdicts and the purity of a
+spinor in the geometry module both read them.  With a nonzero scalar an
+element is its own chart, so :func:`check_relations` seeds the verdict from
+its own residuals.  :func:`spin_norm` is the one computation of N(s); both of
+its routes read the element's own terms, since only a blade times itself
+reaches the scalar blade.  A verified element has s^-1 = reverse(s) / N(s),
+so no action inverts it.  A rotation reads only the grade-1 coefficients of
+(s x) reverse(s) / N off the integer product of s and x, and checks
+s x = y s and (y,y) = (x,x) in integers; the point motions of the geometry
+module are these rotations.
 
 Coordinates are stored as ``Fraction``.  The Pfaffian table, the relation
-residuals, the completion, the spin norm, the rotation, the seeded unit
-vectors and the product of a chain of vectors accumulate integer numerators
-over one common denominator and form one ``Fraction`` per output, at the
-end; the residuals and the two norm routes are compared as integers.
+residuals and quadrics, the completion, the spin norm, the rotation, the
+seeded unit vectors and the product of a chain of vectors accumulate
+integer numerators over one common denominator and form one ``Fraction``
+per output, at the end; the residuals, the quadrics, the two norm routes
+and the rotation's checks are compared as integers.
 """
 
 from __future__ import annotations
@@ -47,11 +58,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping, Sequence, Union
 
-from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _negative_mask, _numerator_product
-from .blades import blade_indices, blade_product, mask_from_indices
+from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _blade_token, _negative_mask, _numerator_product
+from .blades import _sign_mask, blade_indices, mask_from_indices
 from .errors import InvariantViolation
 from .linalg import _cleared
 
@@ -84,7 +96,7 @@ class SpinElement:
         return self._norm
 
     def lipschitz(self) -> bool:
-        """N(s) != 0 and the chart of s obeys the relations; kept.
+        """N(s) != 0 and the chart of s obeys the quadrics; kept.
 
         This is :func:`is_lipschitz` with False where it raises on a
         singular s.
@@ -131,37 +143,50 @@ def _pfaffian_numerators(table: Sequence[Sequence[Rational]]) -> tuple[list[int]
     """Pf(D A)_I for every index set I of the skew table A, by blade mask,
     with D the lcm of the entries' denominators; and D.
 
-    One pass in increasing mask order over the integer table D A: each even
-    set is expanded along its lowest index, reading the smaller sets already
-    in the table.
+    One pass by size over the integer table D A: a pair reads its entry,
+    and each larger even set is expanded along its lowest index
+    (:func:`_expansion`), reading the smaller sets already in the table.
     """
     n = len(table)
     if n > MAX_DIM:
         raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {n}")
     cleared, scale = _cleared([v for row in table for v in row])
-    values = iter(cleared)
-    rows = [[next(values) for _ in row] for row in table]
     pfs = [0] * (1 << n)
     pfs[0] = 1
-    for mask in range(3, len(pfs)):
-        if mask.bit_count() % 2:
-            continue
-        low = mask & -mask
-        row = rows[low.bit_length() - 1]
-        rest = mask ^ low
-        total = 0
-        negate = False
-        bits = rest
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            entry = row[bit.bit_length() - 1]
-            if entry:
-                sub = pfs[rest ^ bit]
-                total += -entry * sub if negate else entry * sub
-            negate = not negate
-        pfs[mask] = total
+    for i, j in combinations(range(n), 2):
+        pfs[1 << i | 1 << j] = cleared[i * n + j]
+    for size in range(4, n + 1, 2):
+        for mask in _masks_of_size(n, size):
+            pfs[mask] = _expansion(mask, pfs, pfs)
     return pfs, scale
+
+
+def _expansion(mask: int, pairs: Sequence[int], values: Sequence[int]) -> int:
+    """sum_j +-pairs[{i1, j}] * values[I - {i1, j}] over the j of I = mask
+    after its lowest index i1, the signs alternating from +: the one
+    expansion of a Pfaffian along a row, read by mask."""
+    low = mask & -mask
+    rest = mask ^ low
+    total = 0
+    negate = False
+    bits = rest
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        entry = pairs[low | bit]
+        if entry:
+            sub = values[rest ^ bit]
+            if sub:
+                total += -entry * sub if negate else entry * sub
+        negate = not negate
+    return total
+
+
+@lru_cache(maxsize=None)
+def _masks_of_size(n: int, size: int) -> tuple[int, ...]:
+    """The masks of the size-element subsets of n generators, in the
+    lexicographic order of :func:`relation_residuals`."""
+    return tuple(sum(1 << i for i in subset) for subset in combinations(range(n), size))
 
 
 def pfaffian(skew: Sequence[Sequence[Fraction]], indices: Sequence[int] | None = None) -> Fraction:
@@ -177,6 +202,8 @@ def spin_norm(s: SpinElement) -> Fraction:
 
     Only a blade times itself reaches the scalar blade, so the scalar is the
     sum of c^2 times each blade's reversion sign times the sign of its square.
+    The square's sign is read as in :func:`blades.blade_product`, from the
+    negative mask looked up once and each blade's :func:`blades._sign_mask`.
     Both sums run over the integer numerators N = D c, D the lcm of the
     coefficients' denominators, and are compared as integers over D^2.
     """
@@ -188,8 +215,8 @@ def spin_norm(s: SpinElement) -> Fraction:
         square = v * v
         total += -square if (mask & negative).bit_count() & 1 else square
         grade = mask.bit_count()
-        sign = blade_product(mask, mask, sig)[0]
-        diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
+        flips = (_sign_mask(mask, negative) & mask).bit_count() + grade * (grade - 1) // 2
+        diagonal += -square if flips & 1 else square
     if diagonal != total:
         raise InvariantViolation(
             "spin norm routes disagree, sign convention broken: "
@@ -212,8 +239,43 @@ def _chart(s: Multivector) -> Multivector:
 
 
 def _obeys_relations(t: Multivector) -> bool:
-    """Whether every relation residual of t is zero, in one pass."""
-    return not any(value for _, _, value in _residual_numerators(t.coefficient, t.signature.dim)[0])
+    """Whether a chart t (a nonzero scalar, or zero) obeys the Pfaffian
+    relations, decided by Chevalley's quadrics size by size.
+
+    Let N be the even coordinates of t cleared to integers and a = N_0 != 0.
+    Expanding Pf along the lowest index i1 of I (:func:`_expansion`, as the
+    Pfaffian table does),
+
+        Pf(N_A)_I = sum_j +-N_{i1 j} Pf(N_A)_{I - {i1, j}},
+
+    so the relations a^(k-1) N_I = Pf(N_A)_I for every even I of size
+    2k >= 4 hold exactly when the quadrics
+
+        a N_I = sum_j +-N_{i1 j} N_{I - {i1, j}}
+
+    do.  By induction on k: a pair has Pf = N_{ij}, so at k = 2 the two are
+    one equation; if the relations hold below size 2k, the right side times
+    a^(k-2) is sum_j +-N_{i1 j} Pf(N_A)_{I - {i1, j}} = Pf(N_A)_I, and the left
+    side times a^(k-2) is a^(k-1) N_I; conversely, the smaller relations
+    turn the relation at I, divided by a^(k-2) != 0, into the quadric.  Every term has degree 2, so the scale
+    of N cancels.  Above the top grade of t every N_I is zero, so beyond
+    size top + 2 both sides vanish and the pass stops there; it returns
+    False at the first quadric that fails.  The sets of each size come from
+    a per-rank list (:func:`_masks_of_size`), which was as fast as Gosper's
+    next-subset step inline and faster than it as a generator.
+    """
+    n = t.signature.dim
+    masks = list(t.masks())
+    numerators = [0] * (1 << n)
+    for mask, v in zip(masks, _cleared([c for _, c in t.items()])[0]):
+        numerators[mask] = v
+    a = numerators[0]
+    top = max(mask.bit_count() for mask in masks) if masks else 0
+    for size in range(4, min(top + 2, n) + 1, 2):
+        for mask in _masks_of_size(n, size):
+            if a * numerators[mask] != _expansion(mask, numerators, numerators):
+                return False
+    return True
 
 
 def is_lipschitz(s: Multivector) -> bool:
@@ -519,30 +581,56 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
 def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
     """The vector y = s x s^-1 for a verified spin element of norm N(s) = norm.
 
-    Only the grade-1 coefficients of (s x) reverse(s) / N are read: the e_i
-    coefficient pairs each term of s x with the term of reverse(s) whose
-    blade differs from it in e_i alone, summed over the integer numerators
-    of both.  The exact identity s x = y s then shows that the conjugate has
-    no other grade.
+    s and x are cleared once each, to S over D_s and X over D_x.  Only the
+    grade-1 coefficients of (s x) reverse(s) / N are read: the e_i coefficient
+    Y_i pairs each term of SX = S X with the term of reverse(S), read off S
+    by grade, whose blade differs from it in e_i alone, with the sign mask
+    of each SX term formed once.  With N = p/q, y = q Y / (p D_s^2 D_x).  The
+    exact identity s x = y s, decided in integers as q Y S = p D_s^2 SX, then
+    shows that the conjugate has no other grade, and q^2 Q(Y) = p^2 D_s^4 Q(X)
+    that it keeps the form.  One ``Fraction`` is formed per nonzero
+    coordinate of y.
     """
     sig = s.signature
-    sx = s * x
-    left, d1 = sx._cleared_terms()
-    right, d2 = s.reverse()._cleared_terms()
-    rev = dict(right)
+    negative = _negative_mask(sig.p, sig.q, sig.ordering)
+    left, s_scale = s._cleared_terms()
+    right, x_scale = x._cleared_terms()
+    sx = _numerator_product(left, right, sig)
+    reverse = {}
+    for mask, v in left:
+        grade = mask.bit_count()
+        reverse[mask] = -v if (grade * (grade - 1) // 2) & 1 else v
+    bits = [1 << i for i in range(sig.dim)]
+    coords = [0] * sig.dim
+    for mask, a in sx.items():
+        if a:
+            flips = _sign_mask(mask, negative)
+            negated = -a
+            for i, bit in enumerate(bits):
+                partner = mask ^ bit
+                b = reverse.get(partner)
+                if b:
+                    coords[i] += (negated if (flips & partner).bit_count() & 1 else a) * b
     norm = Fraction(norm)
-    scale = d1 * d2 * norm.numerator
-    coords = []
-    for i in range(sig.dim):
-        total = 0
-        for mask, a in left:
-            b = rev.get(mask ^ 1 << i)
-            if b:
-                total += a * b if blade_product(mask, mask ^ 1 << i, sig)[0] > 0 else -a * b
-        coords.append(Fraction(total * norm.denominator, scale) if total else _ZERO)
-    y = Multivector.vector(sig, coords)
-    if y * s != sx:
-        raise InvariantViolation("conjugation left the vector space")
-    if vector_norm(y) != vector_norm(x):
-        raise InvariantViolation("conjugation changed the quadratic form")
-    return y
+    p, q = norm.numerator, norm.denominator
+    y_terms = [(bit, v) for bit, v in zip(bits, coords) if v]
+    ys = _numerator_product(y_terms, left, sig)
+    factor = p * s_scale * s_scale
+    wrong = [mask for mask in sx.keys() | ys.keys() if q * ys.get(mask, 0) != factor * sx.get(mask, 0)]
+    if wrong:
+        mask = min(wrong)
+        raise InvariantViolation(
+            f"conjugation left the vector space: at the blade {_blade_token(mask)} "
+            f"y s = {Fraction(q * ys.get(mask, 0), factor * s_scale * x_scale)} "
+            f"but s x = {Fraction(sx.get(mask, 0), s_scale * x_scale)}"
+        )
+    sigmas = sig.sigmas()
+    form_y = sum(sigmas[bit.bit_length() - 1] * v * v for bit, v in y_terms)
+    form_x = sum(sigmas[bit.bit_length() - 1] * v * v for bit, v in right)
+    scale = factor * x_scale
+    if q * q * form_y != factor * factor * form_x:
+        raise InvariantViolation(
+            "conjugation changed the quadratic form: "
+            f"(y,y) = {Fraction(q * q * form_y, scale * scale)}, (x,x) = {Fraction(form_x, x_scale * x_scale)}"
+        )
+    return Multivector._from_terms(sig, {bit: Fraction(q * v, scale) for bit, v in y_terms})

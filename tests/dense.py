@@ -44,6 +44,12 @@ replaced; the first two pin the seeded elements item for item, in order.
 The generator round trip checks a plane's stored equations by one integer
 product with its basis and one rank.  Re-deriving the spinor's system and
 comparing row spaces by three ranks is the route it replaced.
+
+A rotation reads y off the integer product of the cleared s and x and
+decides s x = y s and (y,y) = (x,x) in integers.  The read-off over two
+``Multivector`` products, with one ``blade_product`` per term pair, is the
+route it replaced (``rotate``).  The Lipschitz verdict is Chevalley's
+quadrics; the relation residuals, all zero, are its oracle.
 """
 
 import random
@@ -351,6 +357,33 @@ def spin_norm(s):
         sign = blade_product(mask, mask, sig)[0]
         diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
     return total, diagonal
+
+
+def rotate(s, x, norm):
+    """y = s x s^-1 by the grade-1 read-off of (s x) reverse(s) / N over the
+    numerators of two ``Multivector`` products, one ``blade_product`` per
+    term pair, and s x = y s and (y,y) = (x,x) checked on ``Multivector``s."""
+    sig = s.signature
+    sx = s * x
+    left, d1 = sx._cleared_terms()
+    right, d2 = s.reverse()._cleared_terms()
+    rev = dict(right)
+    norm = Fraction(norm)
+    scale = d1 * d2 * norm.numerator
+    coords = []
+    for i in range(sig.dim):
+        total = 0
+        for mask, a in left:
+            b = rev.get(mask ^ 1 << i)
+            if b:
+                total += a * b if blade_product(mask, mask ^ 1 << i, sig)[0] > 0 else -a * b
+        coords.append(Fraction(total * norm.denominator, scale))
+    y = Multivector.vector(sig, coords)
+    if y * s != sx:
+        raise InvariantViolation("conjugation left the vector space")
+    if (y * y).scalar_part() != (x * x).scalar_part():
+        raise InvariantViolation("conjugation changed the quadratic form")
+    return y
 
 
 def generator_rows_annihilate(x, a):

@@ -335,35 +335,44 @@ def test_bad_input_is_an_error_line_not_a_traceback(args):
 
 
 @pytest.mark.parametrize(
-    "argv, passes",
+    "argv, route",
     [
-        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], 1),
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], 1),
-        (["generator", "--n", "3", "--a", "2,1,0,-1,1,1/2,3"], 1),
-        (["generator", "--n", "3", "--a", "0,1,0,2,0,3,0,0"], 1),
+        (["spin-check", "--p", "2", "--q", "0", "--s", "3/5 + 4/5*e12"], "report"),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], "quadrics"),
+        (["generator", "--n", "3", "--a", "2,1,0,-1,1,1/2,3"], "quadrics"),
+        (["generator", "--n", "3", "--a", "0,1,0,2,0,3,0,0"], "quadrics"),
     ],
     ids=["spin_check", "motion_seeded", "generator_canonical", "generator_zero_scalar"],
 )
-def test_each_element_is_verified_once(monkeypatch, argv, passes):
-    # a generator decides only its own spinor: the recovered one is Chevalley's
-    # product, pure by construction, with a zero scalar too
-    counts = {"passes": 0, "inverse": 0}
+def test_each_element_is_verified_once(monkeypatch, argv, route):
+    # spin-check's verdict is read off the residuals of its report; a drawn
+    # element and a spinor are decided by the quadric pass.  A generator
+    # decides only its own spinor: the recovered one is Chevalley's product,
+    # pure by construction, with a zero scalar too
+    counts = {"quadrics": 0, "report": 0, "inverse": 0}
+    quadrics = spinorlab.spin._obeys_relations
     residual_numerators = spinorlab.spin._residual_numerators
     inverse = Multivector.inverse
 
-    def counted_pass(coord, n):
-        counts["passes"] += 1
+    def counted_quadrics(t):
+        counts["quadrics"] += 1
+        return quadrics(t)
+
+    def counted_report(coord, n):
+        counts["report"] += 1
         return residual_numerators(coord, n)
 
     def counted_inverse(self):
         counts["inverse"] += 1
         return inverse(self)
 
-    monkeypatch.setattr(spinorlab.spin, "_residual_numerators", counted_pass)
+    monkeypatch.setattr(spinorlab.spin, "_obeys_relations", counted_quadrics)
+    monkeypatch.setattr(spinorlab.geometry, "_obeys_relations", counted_quadrics)
+    monkeypatch.setattr(spinorlab.spin, "_residual_numerators", counted_report)
     monkeypatch.setattr(Multivector, "inverse", counted_inverse)
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
-    assert counts == {"passes": passes, "inverse": 0}
+    assert counts == {"quadrics": 0, "report": 0, "inverse": 0, route: 1}
 
 
 @pytest.mark.parametrize("a", ["2,1,0,-1,1,1/2,3", "0,1,0,2,0,3,0,0"], ids=["canonical", "zero_scalar"])
@@ -414,8 +423,8 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 12, 3)),
-        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 12, 3)),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 6, 3)),
+        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 6, 3)),
         (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (3, 0, 1)),
         (["xi", "--n", "2", "--x", "1,2,3,4,5"], (0, 0, 1)),
     ],
@@ -423,10 +432,12 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 )
 def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
     # geometry clears x, the kernel basis, y and the images once each, so a
-    # motion's counts do not grow with its 2^(n-1) kernel vectors.  Of the 12
+    # motion's counts do not grow with its 2^(n-1) kernel vectors.  Of the 6
     # term clearings, the k = 1 element's two unit vectors take one each (their
     # reflections and norm checks run in integers), N(s) one, the point
-    # rotation eight and the kernel verdict one.  Q is formed once per point: x
+    # rotation two (s and x, once each; its read-off, its check s x = y s and
+    # its form check run on those numerators) and the kernel verdict one.  The
+    # element's relation verdict clears its coordinates without this helper.  Q is formed once per point: x
     # and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
     # expected: calls of geometry._cleared, Multivector._cleared_terms and quadratic_form
     counts = {"cleared": 0, "cleared_terms": 0, "forms": 0}

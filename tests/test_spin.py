@@ -27,9 +27,10 @@ from spinorlab import (
     spin_from_vectors,
     spin_norm,
 )
-from spinorlab.blades import MAX_DIM, blade_product
+from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
-from spinorlab.spin import _rotate, completed_coords, pfaffians, random_unit_vector, relation_residuals, vector_norm
+from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _rotate, completed_coords, pfaffians, random_unit_vector
+from spinorlab.spin import relation_residuals, vector_norm
 
 import dense
 from dense import det, skew_table
@@ -160,11 +161,11 @@ def test_spin_norm_matches_full_product():
 def test_spin_norm_failure_carries_both_routes(monkeypatch):
     s = SpinElement(Multivector(CL20, {0: Fraction(3, 5), 0b11: Fraction(4, 5)}))
 
-    def flipped(b1, b2, sig):
-        sign, mask = blade_product(b1, b2, sig)
-        return (-sign if b1 == b2 == 0b11 else sign), mask
+    def flipped(b1, negative):
+        # the sign mask of e12 loses its bit 0, so e12 e12 reads +1
+        return _sign_mask(b1, negative) ^ (1 if b1 == 0b11 else 0)
 
-    monkeypatch.setattr("spinorlab.spin.blade_product", flipped)
+    monkeypatch.setattr("spinorlab.spin._sign_mask", flipped)
     for check in (spin_norm, is_spin):
         with pytest.raises(InvariantViolation) as caught:
             check(s)
@@ -283,6 +284,91 @@ def test_lipschitz_on_dense_elements_at_dim_12():
     assert element.lipschitz()
     assert not SpinElement(element.value + Multivector.blade(sig, 0b11, Fraction(1, 3))).lipschitz()
     assert time.perf_counter() - start < 5.0
+
+
+def _signatures(dims):
+    """A plain and an interleaved signature of each dimension, both kinds of
+    generator present from dimension 2."""
+    for dim in dims:
+        yield Signature(dim - dim // 2, dim // 2)
+        yield Signature(dim // 2, dim - dim // 2, INTERLEAVED)
+
+
+def _relations_hold(t):
+    """The oracle: every Pfaffian residual of t is zero, in ``Fraction``s."""
+    return all(value == 0 for _, value in dense.relation_residuals(t.coefficient, t.signature.dim))
+
+
+def _quadric_cases(sig, rng):
+    """Products of 2k unit vectors, k = 1..3, and for each: its product with
+    an even blade it lacks (a zero scalar), one coordinate perturbed, and one
+    coordinate added at grade top + 2."""
+    signs = [sign for sign, count in ((1, sig.p), (-1, sig.q)) if count]
+    even = [mask for mask in range(1, 1 << sig.dim) if not mask.bit_count() & 1]
+    for k in (1, 2, 3):
+        s = spin_from_vectors([random_unit_vector(sig, rng, rng.choice(signs)) for _ in range(2 * k)]).value
+        yield s
+        missing = [mask for mask in even if not s.coefficient(mask)]
+        if missing:
+            yield s * Multivector.blade(sig, rng.choice(missing))
+        yield s + Multivector.blade(sig, rng.choice(list(s.masks())), Fraction(1, 7))
+        top = max(mask.bit_count() for mask in s.masks())
+        above = [mask for mask in even if mask.bit_count() == top + 2]
+        if above:
+            yield s + Multivector.blade(sig, rng.choice(above), Fraction(2, 5))
+
+
+@pytest.mark.parametrize("sig", list(_signatures(range(2, 9))), ids=str)
+def test_quadric_verdict_equals_the_pfaffian_residuals(sig):
+    """Chevalley's quadrics decide the relations of a chart exactly when all
+    its Pfaffian residuals are zero: spin elements with k = 1..3, zero-scalar
+    elements through their charts, and perturbed ones."""
+    rng = random.Random(sig.dim * 10 + sig.p)
+    seen = set()
+    for t in _quadric_cases(sig, rng):
+        chart = _chart(t)
+        verdict = _obeys_relations(chart)
+        assert verdict == _relations_hold(chart), t
+        seen.add((bool(t.scalar_part()), verdict))
+    assert (True, True) in seen and (sig.dim < 4 or (True, False) in seen)
+    assert sig.dim < 4 or (False, True) in seen
+
+
+def test_truncated_exponential_fails_only_at_size_six():
+    """The grade <= 4 part t of a generic completion at d = 6 obeys every
+    four-index relation and fails the six-index one, one size above t's top
+    grade: the pass must run to top + 2."""
+    sig = Signature(3, 3, INTERLEAVED)
+    full = reconstruct_from_low_grade(Fraction(2, 3), _random_skew(random.Random(6), 6), sig).value
+    assert full.coefficient(0b111111)
+    truncated = Multivector(sig, {mask: c for mask, c in full.items() if mask.bit_count() <= 4})
+    residuals = dense.relation_residuals(truncated.coefficient, 6)
+    assert [len(subset) for subset, value in residuals if value] == [6]
+    assert _obeys_relations(full) and not _obeys_relations(truncated)
+    assert not SpinElement(truncated).lipschitz()
+
+
+def test_quadric_verdict_is_empty_below_four_generators():
+    # no even set of size >= 4 exists, so every chart passes
+    for sig in (Signature(0, 0), Signature(1, 0), Signature(2, 1)):
+        assert _obeys_relations(_chart(Multivector.scalar(sig, 3)))
+    assert _obeys_relations(Multivector.zero(Signature(4, 0)))
+    assert not _obeys_relations(Multivector(Signature(4, 0), {0: 1, 0b11: 1, 0b1100: 1}))
+
+
+def test_sparse_verdict_at_max_dim_within_budget():
+    """The verdict on a k = 1 element at MAX_DIM, cold: the quadrics stop at
+    size 4, so no 2^16 Pfaffian table is built."""
+    sig = Signature(MAX_DIM // 2, MAX_DIM // 2, INTERLEAVED)
+    rng = random.Random(0)
+    value = spin_from_vectors([random_unit_vector(sig, rng, sign) for sign in (1, -1)]).value
+    _masks_of_size.cache_clear()
+    start = time.perf_counter()
+    element = SpinElement(value)
+    assert element.lipschitz()
+    elapsed = time.perf_counter() - start
+    assert len(value) > 100
+    assert elapsed < 0.1, elapsed
 
 
 def test_is_spin_cases():
@@ -539,6 +625,49 @@ def test_rotation_checks_the_conjugate_is_a_vector():
         _rotate(s, Multivector.generator(sig, 1), 1)
 
 
+@pytest.mark.parametrize("sig", list(_signatures(range(2, 9))), ids=str)
+def test_integer_rotation_equals_the_multivector_route(sig):
+    """The integer read-off and checks against the two-product route it
+    replaced, item for item, on elements of norm +1 and -1."""
+    rng = random.Random(sig.dim * 10 + sig.q)
+    signs = [sign for sign, count in ((1, sig.p), (-1, sig.q)) if count]
+    norms = set()
+    for pattern in [(1, 1), (-1, -1), (1, -1), (1, -1, 1, 1)]:
+        if not set(pattern) <= set(signs):
+            continue
+        s = spin_from_vectors([random_unit_vector(sig, rng, sign) for sign in pattern])
+        norm = spin_norm(s)
+        norms.add(norm)
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(sig.dim)]
+            x = Multivector.vector(sig, coords)
+            y = _rotate(s.value, x, norm)
+            assert list(y.items()) == list(dense.rotate(s.value, x, norm).items())
+            assert all(type(c) is Fraction for _, c in y.items())
+    assert norms == {1, -1}
+
+
+def test_rotation_names_the_blade_where_y_s_differs():
+    # N(s) = 1, but a norm of 2 halves y, so y s = s x / 2 at every blade
+    s = Multivector(CL20, {0: Fraction(3, 5), 0b11: Fraction(4, 5)})
+    with pytest.raises(InvariantViolation) as caught:
+        _rotate(s, Multivector.generator(CL20, 1), 2)
+    assert str(caught.value) == "conjugation left the vector space: at the blade e1 y s = 3/10 but s x = 3/5"
+
+
+def test_rotation_checks_the_form_against_the_signature(monkeypatch):
+    # the products read the signature through its negative mask; a broken
+    # sigmas table reads the form of the boosted e1 as Euclidean
+    s = Multivector(CL11, {0: Fraction(5, 4), 0b11: Fraction(3, 4)})
+    x = Multivector.generator(CL11, 1)
+    y = _rotate(s, x, 1)
+    assert y == Multivector.vector(CL11, [Fraction(17, 8), Fraction(-15, 8)])
+    monkeypatch.setattr(Signature, "sigmas", lambda self: (1,) * self.dim)
+    with pytest.raises(InvariantViolation) as caught:
+        _rotate(s, x, 1)
+    assert str(caught.value) == "conjugation changed the quadratic form: (y,y) = 257/32, (x,x) = 1"
+
+
 def test_rotation_divides_by_a_rational_norm():
     # s = 1/2 has N(s) = 1/4 and conjugates every vector to itself
     sig = Signature(2, 1)
@@ -646,6 +775,13 @@ def test_residuals_and_norm_are_bit_equal_to_the_fraction_oracle(s):
     assert bits(value for _, value in residuals) == bits(value for _, value in expected)
     total, diagonal = dense.spin_norm(s)
     assert bits([spin_norm(s)]) == bits([total]) == bits([diagonal])
+
+
+@settings(max_examples=120, deadline=None)
+@given(even_elements())
+def test_quadric_verdict_is_the_residual_verdict_on_mixed_denominators(s):
+    chart = _chart(s.value)
+    assert _obeys_relations(chart) == _relations_hold(chart)
 
 
 @settings(max_examples=60, deadline=None)
