@@ -257,10 +257,10 @@ def _obeys_relations(t: Multivector) -> bool:
     one equation; if the relations hold below size 2k, the right side times
     a^(k-2) is sum_j +-N_{i1 j} Pf(N_A)_{I - {i1, j}} = Pf(N_A)_I, and the left
     side times a^(k-2) is a^(k-1) N_I; conversely, the smaller relations
-    turn the relation at I, divided by a^(k-2) != 0, into the quadric.  Every term has degree 2, so the scale
-    of N cancels.  Above the top grade of t every N_I is zero, so beyond
-    size top + 2 both sides vanish and the pass stops there; it returns
-    False at the first quadric that fails.  The sets of each size come from
+    turn the relation at I, divided by a^(k-2) != 0, into the quadric.
+    Every term has degree 2, so the scale of N cancels.  Above the top grade
+    of t every N_I is zero, so beyond size top + 2 both sides vanish and the
+    pass stops there; it returns False at the first quadric that fails.  The sets of each size come from
     a per-rank list (:func:`_masks_of_size`), which was as fast as Gosper's
     next-subset step inline and faster than it as a generator.
     """

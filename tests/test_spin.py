@@ -29,8 +29,8 @@ from spinorlab import (
 )
 from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
-from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _rotate, completed_coords, pfaffians, random_unit_vector
-from spinorlab.spin import relation_residuals, vector_norm
+from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _rotate, completed_coords, pfaffians
+from spinorlab.spin import random_unit_vector, relation_residuals, vector_norm
 
 import dense
 from dense import det, skew_table
