@@ -43,6 +43,11 @@ MAX_SEED_PAIRS = 4
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes the value in "--x -1,1,0" for an option; "--x=-1,1,0" is one token
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--x", "--a", "--s") and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     try:
         report = args.handler(args)

@@ -47,7 +47,7 @@ from .matrices import (
     point_blade_images,
     quadratic_form,
 )
-from .spin import SpinElement, _chart, _obeys_relations, _rotate, _skew_table, completed_coords, is_spin_plus
+from .spin import SpinElement, _chart, _obeys_relations, _pair_coords, _rotate, completed_coords, is_spin_plus
 from .spin import relation_residuals
 
 Coords = Sequence[Rational]
@@ -115,11 +115,14 @@ class SpinorCoords:
         """Complete (a, a^i, a^{ij}) to a full relation-satisfying spinor.
 
         The completion is the Pfaffian one, applied after the renaming, so
-        the scalar must be nonzero.
+        the scalar must be nonzero: each a^i is the renamed pair {i, n+1},
+        at the mask of i with bit n set.
         """
         if len(vector) != n:
             raise ValueError(f"expected {n} single-index coordinates")
-        completed = completed_coords(scalar, _renamed_skew(n, vector, skew))
+        pairs = _pair_coords(skew, n)
+        pairs.update({1 << i | 1 << n: Fraction(v) for i, v in enumerate(vector)})
+        completed = completed_coords(scalar, pairs, n + 1)
         return cls(n, [completed[_renamed(mask, n)] for mask in range(1 << n)])
 
     def coefficient(self, mask: int) -> Fraction:
@@ -180,20 +183,6 @@ def _renamed(mask: int, n: int) -> int:
     return mask | 1 << n if mask.bit_count() % 2 else mask
 
 
-def _renamed_skew(
-    n: int,
-    vector: Sequence[Rational],
-    skew: Union[Mapping[tuple[int, int], Rational], Sequence[Sequence[Rational]]],
-) -> list[list[Fraction]]:
-    """(n+1)x(n+1) skew table: pairs {i,j} from a^{ij}, pairs {i,n+1} from a^i."""
-    table = _skew_table(skew, n)
-    column = [Fraction(v) for v in vector]
-    for row, v in zip(table, column):
-        row.append(v)
-    table.append([-v for v in column] + [Fraction(0)])
-    return table
-
-
 def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     """Exact basis of the spinors killed by an absolute point's matrix.
 
@@ -216,7 +205,7 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     n = (len(coords) - 1) // 2
     basis = _echelon_kernel(n, _cleared(_check_coords(n, coords))[0])
     if len(basis) != 1 << (n - 1):
-        raise InvariantViolation("kernel dimension differs from 2^(n-1)")
+        raise InvariantViolation(f"kernel dimension {len(basis)} differs from 2^(n-1) = {1 << (n - 1)}")
     size = 1 << n
     fractions: dict[tuple[int, int], Fraction] = {}
     out = []
@@ -306,12 +295,6 @@ class PlaneGenerator:
     def projective_dimension(self) -> int:
         return len(self.basis) - 1
 
-    def contains(self, x: Coords) -> bool:
-        point = [Fraction(v) for v in x]
-        return all(
-            sum(c * v for c, v in zip(row, point)) == 0 for row in self.equations
-        )
-
     def to_json(self) -> dict:
         """Equations and basis as rows whose leaves are exact rationals."""
         return {
@@ -363,7 +346,7 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     kept_rows = [rows[r] for r in kept_masks]
     basis = linalg.null_space(kept_rows)
     if len(basis) != n:
-        raise InvariantViolation("generator solution space has wrong dimension")
+        raise InvariantViolation(f"generator solution space has dimension {len(basis)}, not n = {n}")
     return PlaneGenerator(
         n=n,
         row_masks=tuple(kept_masks),

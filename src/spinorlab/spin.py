@@ -18,8 +18,16 @@ set I of size 2k >= 4,
 with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
 ones (:func:`reconstruct_from_low_grade`); on the geometry side the a = 0
-case comes from Chevalley's product instead.  Every Pfaffian is read from
-one table over index masks (:func:`pfaffians`), built in a single pass.
+case comes from Chevalley's product instead.  The grade-2 coordinates are
+held by blade mask only, a^{ij} at the mask of {i, j}: a map of index
+pairs or a caller's skew table is checked and read once, at the boundary
+(:func:`_pair_coords`; :func:`pfaffians` and :func:`pfaffian` read the upper
+triangle), and no n x n table is built.  Every Pfaffian is read from one
+integer list over index masks: the pairs are cleared into it once
+(:func:`_numerators_by_mask`, which also clears the coordinates of the
+residuals and of the quadrics), and each larger even set is filled in by
+size (:func:`_fill_pfaffians`).  The residuals fill a copy of their own
+cleared coordinates, whose pairs are already those of A.
 With a != 0 the relations are equivalent to quadrics of degree 2 (C.
 Chevalley, *The Algebraic Theory of Spinors*, 1954),
 
@@ -27,8 +35,8 @@ Chevalley, *The Algebraic Theory of Spinors*, 1954),
 
 i1 the lowest index of I; above the top grade of an element both sides
 vanish, so a verdict checks these up to size top + 2 and stops at the first
-that fails (:func:`_obeys_relations`), with no Pfaffian table.  The report
-(:func:`check_relations`) keeps the table and every residual.
+that fails (:func:`_obeys_relations`), with no Pfaffian list.  The report
+(:func:`check_relations`) fills the list and keeps every residual.
 
 Each element is verified once.  A :class:`SpinElement` is immutable and
 keeps two values, each decided in one place: N(s), read once through
@@ -45,7 +53,7 @@ so no action inverts it.  A rotation reads only the grade-1 coefficients of
 s x = y s and (y,y) = (x,x) in integers; the point motions of the geometry
 module are these rotations.
 
-Coordinates are stored as ``Fraction``.  The Pfaffian table, the relation
+Coordinates are stored as ``Fraction``.  The Pfaffians, the relation
 residuals and quadrics, the completion, the spin norm, the rotation, the
 seeded unit vectors and the product of a chain of vectors accumulate
 integer numerators over one common denominator and form one ``Fraction``
@@ -127,38 +135,44 @@ class SpinElement:
         return f"SpinElement({self.value.to_text()})"
 
 
-def pfaffians(table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+def pfaffians(table: Sequence[Sequence[Rational]]) -> list[Fraction]:
     """Pf(A_I) for every index set I of the skew table A, indexed by blade mask.
 
-    The table is built over the integer table D A, D the lcm of the entries'
-    denominators, and Pf(A_I) = Pf(D A)_I / D^(|I|/2).  Odd sets get 0 and
-    the empty set 1.  The table has 2^d entries, so d is capped at MAX_DIM.
+    The table is read once, from its upper triangle (:func:`_upper_pairs`),
+    and the Pfaffians are the completion with a = 1 (:func:`completed_coords`).
+    Odd sets get 0 and the empty set 1.  The list has 2^d entries, so d is
+    capped at MAX_DIM.
     """
-    pfs, scale = _pfaffian_numerators(table)
-    powers = [scale**k for k in range(len(table) // 2 + 1)]
-    return [Fraction(pf, powers[mask.bit_count() // 2]) if pf else _ZERO for mask, pf in enumerate(pfs)]
+    return completed_coords(1, _upper_pairs(table, range(len(table))), len(table))
 
 
-def _pfaffian_numerators(table: Sequence[Sequence[Rational]]) -> tuple[list[int], int]:
-    """Pf(D A)_I for every index set I of the skew table A, by blade mask,
-    with D the lcm of the entries' denominators; and D.
+def _upper_pairs(table: Sequence[Sequence[Rational]], idx: Sequence[int]) -> dict[int, Rational]:
+    """The pairs {a, b}, a < b, of the rows and columns idx of a table, by
+    blade mask, each read once from table[idx[a]][idx[b]]."""
+    return {1 << a | 1 << b: table[i][j] for (a, i), (b, j) in combinations(enumerate(idx), 2)}
 
-    One pass by size over the integer table D A: a pair reads its entry,
-    and each larger even set is expanded along its lowest index
-    (:func:`_expansion`), reading the smaller sets already in the table.
+
+def _numerators_by_mask(values: Mapping[int, Rational], n: int) -> tuple[list[int], int]:
+    """The values cleared to integers over the lcm D of their denominators,
+    as a list of 2^n by blade mask with 0 off the map; and D."""
+    out = [0] * (1 << n)
+    cleared, scale = _cleared(values.values())
+    for mask, v in zip(values, cleared):
+        out[mask] = v
+    return out, scale
+
+
+def _fill_pfaffians(pfs: list[int], n: int) -> list[int]:
+    """Fill Pf of every even set of size >= 4 into a by-mask list of n
+    indices that holds the pairs, in place; the list is returned.
+
+    One pass by size: each set is expanded along its lowest index
+    (:func:`_expansion`), reading the smaller sets already in the list.
     """
-    n = len(table)
-    if n > MAX_DIM:
-        raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {n}")
-    cleared, scale = _cleared([v for row in table for v in row])
-    pfs = [0] * (1 << n)
-    pfs[0] = 1
-    for i, j in combinations(range(n), 2):
-        pfs[1 << i | 1 << j] = cleared[i * n + j]
     for size in range(4, n + 1, 2):
         for mask in _masks_of_size(n, size):
             pfs[mask] = _expansion(mask, pfs, pfs)
-    return pfs, scale
+    return pfs
 
 
 def _expansion(mask: int, pairs: Sequence[int], values: Sequence[int]) -> int:
@@ -189,12 +203,13 @@ def _masks_of_size(n: int, size: int) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in subset) for subset in combinations(range(n), size))
 
 
-def pfaffian(skew: Sequence[Sequence[Fraction]], indices: Sequence[int] | None = None) -> Fraction:
-    """Pfaffian of a skew matrix restricted to the given 0-based indices."""
+def pfaffian(skew: Sequence[Sequence[Rational]], indices: Sequence[int] | None = None) -> Fraction:
+    """Pfaffian of a skew matrix restricted to the given 0-based indices,
+    read once from the upper triangle of the restriction."""
     idx = list(range(len(skew))) if indices is None else list(indices)
     if len(idx) % 2:
         raise ValueError("Pfaffian needs an even number of indices")
-    return pfaffians([[skew[i][j] for j in idx] for i in idx])[-1]
+    return completed_coords(1, _upper_pairs(skew, idx), len(idx))[-1]
 
 
 def spin_norm(s: SpinElement) -> Fraction:
@@ -244,7 +259,7 @@ def _obeys_relations(t: Multivector) -> bool:
 
     Let N be the even coordinates of t cleared to integers and a = N_0 != 0.
     Expanding Pf along the lowest index i1 of I (:func:`_expansion`, as the
-    Pfaffian table does),
+    Pfaffian fill does),
 
         Pf(N_A)_I = sum_j +-N_{i1 j} Pf(N_A)_{I - {i1, j}},
 
@@ -264,13 +279,11 @@ def _obeys_relations(t: Multivector) -> bool:
     a per-rank list (:func:`_masks_of_size`), which was as fast as Gosper's
     next-subset step inline and faster than it as a generator.
     """
+    terms = dict(t.items())
     n = t.signature.dim
-    masks = list(t.masks())
-    numerators = [0] * (1 << n)
-    for mask, v in zip(masks, _cleared([c for _, c in t.items()])[0]):
-        numerators[mask] = v
+    numerators = _numerators_by_mask(terms, n)[0]
     a = numerators[0]
-    top = max(mask.bit_count() for mask in masks) if masks else 0
+    top = max(map(int.bit_count, terms), default=0)
     for size in range(4, min(top + 2, n) + 1, 2):
         for mask in _masks_of_size(n, size):
             if a * numerators[mask] != _expansion(mask, numerators, numerators):
@@ -361,7 +374,7 @@ def relation_residuals(
     """Residual a^(k-1) * a^I - Pf(A_I) for every even index set I, |I| >= 4.
 
     ``coord`` reads the coordinates of a rank-n element by blade mask; A is
-    the skew table of its grade-2 coordinates.  Sets come by size, then in
+    the skew matrix of its grade-2 coordinates.  Sets come by size, then in
     lexicographic order.
     """
     numerators, scale = _residual_numerators(coord, n)
@@ -376,24 +389,17 @@ def _residual_numerators(
     in the order of :func:`relation_residuals`, and D.
 
     N = D a are the even coordinates over the lcm D of their denominators,
-    so the residual of I is the integer given here over D^k.
+    so the residual of I is the integer given here over D^k.  The pairs of N
+    are those of N_A, so a copy of N filled by size holds Pf(N_A).
     """
-    masks = [mask for mask in range(1 << n) if not mask.bit_count() & 1]
-    cleared, scale = _cleared([coord(mask) for mask in masks])
-    numerators = [0] * (1 << n)
-    for mask, v in zip(masks, cleared):
-        numerators[mask] = v
-    table = [[0] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        table[i][j] = numerators[1 << i | 1 << j]
-        table[j][i] = -table[i][j]
-    pfs = _pfaffian_numerators(table)[0]
+    evens = {mask: coord(mask) for mask in range(1 << n) if not mask.bit_count() & 1}
+    numerators, scale = _numerators_by_mask(evens, n)
+    pfs = _fill_pfaffians(numerators.copy(), n)
     out = []
     for size in range(4, n + 1, 2):
         power = numerators[0] ** (size // 2 - 1)
-        for subset in combinations(range(1, n + 1), size):
-            mask = mask_from_indices(subset)
-            out.append((subset, size // 2, power * numerators[mask] - pfs[mask]))
+        for mask in _masks_of_size(n, size):
+            out.append((blade_indices(mask), size // 2, power * numerators[mask] - pfs[mask]))
     return out, scale
 
 
@@ -416,20 +422,27 @@ def check_relations(s: SpinElement) -> RelationReport:
     )
 
 
-def completed_coords(scalar: Rational, table: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I, by blade mask.
+def completed_coords(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> list[Fraction]:
+    """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I of n
+    indices, by blade mask, from the pairs a^{ij} of A by mask.
 
     Pf of the empty set is 1, so the scalar comes back as a, each pair as
-    its table entry, and odd sets as 0.  The scalar must be nonzero.  With
-    a = p/q and D the lcm of the table's denominators, a^I is
-    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.
+    itself, and odd sets as 0.  The scalar must be nonzero.  The pairs are
+    cleared once, to D A with D the lcm of their denominators, and Pf(D A)
+    is filled in by size; with a = p/q, a^I is
+    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.  The list
+    has 2^n entries, so n is capped at MAX_DIM.
     """
     a = Fraction(scalar)
     if a == 0:
         raise ValueError("completion needs a nonzero scalar coordinate")
-    pfs, scale = _pfaffian_numerators(table)
+    if n > MAX_DIM:
+        raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {n}")
+    pfs, scale = _numerators_by_mask(pairs, n)
+    pfs[0] = 1
+    _fill_pfaffians(pfs, n)
     p, q = a.numerator, a.denominator
-    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, len(table) // 2 + 1)]
+    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, n // 2 + 1)]
     out = []
     for mask, pf in enumerate(pfs):
         num, den = ratios[mask.bit_count() // 2]
@@ -448,39 +461,28 @@ def reconstruct_from_low_grade(
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
     meaningless otherwise.
     """
-    coords = completed_coords(scalar, _skew_table(skew, sig.dim))
+    coords = completed_coords(scalar, _pair_coords(skew, sig.dim), sig.dim)
     return SpinElement(Multivector._from_terms(sig, {mask: c for mask, c in enumerate(coords) if c}))
 
 
-def _skew_table(
+def _pair_coords(
     skew: Union[Mapping[tuple[int, int], Rational], Sequence[Sequence[Rational]]], n: int
-) -> list[list[Fraction]]:
-    table = [[Fraction(0)] * n for _ in range(n)]
+) -> dict[int, Fraction]:
+    """The grade-2 coordinates a^{ij} by blade mask, checked and read once:
+    from a map of 1-based index pairs, where a key (j, i) gives -a^{ij}, or
+    from the upper triangle of an n x n skew table."""
     if isinstance(skew, Mapping):
+        pairs = {}
         for (i, j), value in skew.items():
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad grade-2 index pair ({i},{j})")
-            value = Fraction(value)
-            table[i - 1][j - 1] = value
-            table[j - 1][i - 1] = -value
-        return table
-    rows = [list(map(Fraction, row)) for row in skew]
-    if len(rows) != n or any(len(row) != n for row in rows):
+            pairs[1 << (i - 1) | 1 << (j - 1)] = Fraction(value) if i < j else -Fraction(value)
+        return pairs
+    if len(skew) != n or any(len(row) != n for row in skew):
         raise ValueError(f"skew table must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != -rows[j][i]:
-                raise ValueError("grade-2 table is not skew-symmetric")
-    return rows
-
-
-def vector_norm(x: Multivector) -> Fraction:
-    """Quadratic form (x,x) of a grade-1 element, summed over integer numerators."""
-    if not x.is_grade(1):
-        raise ValueError("not a pure vector")
-    sigmas = x.signature.sigmas()
-    terms, scale = x._cleared_terms()
-    return Fraction(sum(sigmas[mask.bit_length() - 1] * v * v for mask, v in terms), scale * scale)
+    if any(Fraction(skew[i][j]) != -Fraction(skew[j][i]) for i in range(n) for j in range(i, n)):
+        raise ValueError("grade-2 table is not skew-symmetric")
+    return {mask: Fraction(v) for mask, v in _upper_pairs(skew, range(n)).items()}
 
 
 def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:

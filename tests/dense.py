@@ -50,6 +50,10 @@ decides s x = y s and (y,y) = (x,x) in integers.  The read-off over two
 ``Multivector`` products, with one ``blade_product`` per term pair, is the
 route it replaced (``rotate``).  The Lipschitz verdict is Chevalley's
 quadrics; the relation residuals, all zero, are its oracle.
+
+``vector_norm``, the form (x,x) summed over a vector's integer numerators,
+has no caller in the library; the tests that pin it against the dense
+square and use it on drawn and rotated vectors read it here.
 """
 
 import random
@@ -357,6 +361,15 @@ def spin_norm(s):
         sign = blade_product(mask, mask, sig)[0]
         diagonal += square * (-sign if (grade * (grade - 1) // 2) & 1 else sign)
     return total, diagonal
+
+
+def vector_norm(x):
+    """Quadratic form (x,x) of a grade-1 element, summed over integer numerators."""
+    if not x.is_grade(1):
+        raise ValueError("not a pure vector")
+    sigmas = x.signature.sigmas()
+    terms, scale = x._cleared_terms()
+    return Fraction(sum(sigmas[mask.bit_length() - 1] * v * v for mask, v in terms), scale * scale)
 
 
 def rotate(s, x, norm):

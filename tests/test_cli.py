@@ -864,6 +864,24 @@ def test_seeded_motion_accepts_k_at_the_bound():
     assert code == 0 and json.loads(out)["verdicts"] == {"form_preserved": True, "kernel_equivariance": True}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--n", "1", "--x", "-1,1,0"],
+        ["xi", "--n", "1", "--x", "-1,0,0"],
+        ["generator", "--n", "1", "--a", "-1,0"],
+        ["motion", "--n", "1", "--seed", "1", "--x", "-1,1,1"],
+        ["spin-check", "--p", "2", "--q", "0", "--s", "-e12"],
+    ],
+    ids=["kernel", "xi", "generator", "motion", "spin_check"],
+)
+def test_a_value_may_start_with_a_minus(argv):
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    code, out, err = call_main(argv)
+    assert (code, out, err) == call_main(joined)
+    assert out and "expected one argument" not in err
+
+
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 
 # exit code and sha256 of stdout and stderr, recorded with Python 3.11 and

@@ -1,6 +1,7 @@
 """Edge cases, larger ranks, and batch-order independence."""
 
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from spinorlab import (
     generator_to_spinor,
     independent_system,
     kernel_spinors,
+    pfaffian,
     point_element,
     quaternion_split,
     reconstruct_from_low_grade,
@@ -97,6 +99,50 @@ def test_reconstruct_accepts_full_skew_matrix():
         reconstruct_from_low_grade(1, lopsided, sig)
     with pytest.raises(ValueError):
         SpinorCoords.from_low_grade(4, 1, [0] * 4, lopsided)
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (1, 5), (3, 3)], ids=["below_one", "above_n", "repeated"])
+def test_bad_grade2_index_pair_is_named(pair):
+    message = re.escape(f"bad grade-2 index pair ({pair[0]},{pair[1]})")
+    with pytest.raises(ValueError, match=message):
+        reconstruct_from_low_grade(1, {(1, 2): 1, pair: 1}, Signature(4, 0))
+    with pytest.raises(ValueError, match=message):
+        SpinorCoords.from_low_grade(4, 1, [0] * 4, {pair: 1})
+
+
+def test_skew_table_shape_and_symmetry_are_checked_at_the_boundary():
+    square = [[Fraction(0)] * 3 for _ in range(3)]
+    ragged = [[Fraction(0)] * 4 for _ in range(3)] + [[Fraction(0)] * 3]
+    diagonal = [[Fraction(i == j == 2) for j in range(4)] for i in range(4)]
+    for build in (
+        lambda table: reconstruct_from_low_grade(1, table, Signature(4, 0)),
+        lambda table: SpinorCoords.from_low_grade(4, 1, [0] * 4, table),
+    ):
+        for table in (square, ragged):
+            with pytest.raises(ValueError, match="skew table must be 4x4"):
+                build(table)
+        with pytest.raises(ValueError, match="grade-2 table is not skew-symmetric"):
+            build(diagonal)
+
+
+def test_single_index_count_and_pfaffian_parity_are_checked():
+    with pytest.raises(ValueError, match="expected 4 single-index coordinates"):
+        SpinorCoords.from_low_grade(4, 1, [0] * 3, {})
+    skew = [[Fraction(j - i) for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="Pfaffian needs an even number of indices"):
+        pfaffian(skew, [0, 1, 2])
+
+
+def test_a_reversed_pair_key_gives_the_negated_coordinate():
+    v = Fraction(3, 7)
+    element = reconstruct_from_low_grade(1, {(2, 1): v, (3, 4): 2}, Signature(4, 0))
+    assert element.coord((1, 2)) == -v and element.coord((3, 4)) == 2
+    assert element.coord((1, 2, 3, 4)) == -2 * v
+    spinor = SpinorCoords.from_low_grade(2, 1, [0, 0], {(2, 1): v})
+    assert spinor.values == [1, 0, 0, -v]
+    spinor = SpinorCoords.from_low_grade(3, 1, [1, 0, 0], {(3, 2): v})
+    # the renamed pairs {i, 4} hold a^i, so a^{123} = Pf over {1, 2, 3, 4} = a^{12} a^3 - a^{13} a^2 + a^{23} a^1
+    assert spinor.values[0b110] == -v and spinor.values[0b111] == -v
 
 
 def test_spinor_from_json_missing_keys_default_to_zero():

@@ -719,6 +719,20 @@ def test_round_trip_checks_the_product_against_the_plane(monkeypatch):
             generator_to_spinor(g)
 
 
+def test_kernel_dimension_violation_names_both_dimensions(monkeypatch):
+    echelon_kernel = spinorlab.geometry._echelon_kernel
+    monkeypatch.setattr(spinorlab.geometry, "_echelon_kernel", lambda n, c: echelon_kernel(n, c)[:1])
+    with pytest.raises(InvariantViolation, match=re.escape("kernel dimension 1 differs from 2^(n-1) = 2")):
+        kernel_spinors([0, 1, 1, 0, 0])
+
+
+def test_generator_dimension_violation_names_both_dimensions(monkeypatch):
+    null_space = linalg.null_space
+    monkeypatch.setattr(linalg, "null_space", lambda rows: null_space(rows)[:-1])
+    with pytest.raises(InvariantViolation, match=re.escape("generator solution space has dimension 1, not n = 2")):
+        independent_system(SpinorCoords(2, [1, 0, 0, 0]))
+
+
 def test_primitive_vector():
     assert _primitive(frac([Fraction(1, 2), Fraction(-3, 2)])) == frac([1, -3])
     assert _primitive(frac([-2, 4])) == frac([1, -2])
@@ -949,10 +963,11 @@ def test_motion_maps_generators_to_generators():
         g = independent_system(a)
         moved_spinor = motion_on_spinors(s, a)
         moved_generator = independent_system(moved_spinor)
-        # the moved generator is the pointwise image of the original
+        assert moved_generator.projective_dimension == g.projective_dimension
+        # the moved generator, {x : Xi(x) a' = 0}, is the pointwise image of the original
         for point in g.basis:
             image = motion_on_points(s, list(point))
-            assert moved_generator.contains(image)
+            assert generator_rows_annihilate(image, moved_spinor)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -29,11 +29,11 @@ from spinorlab import (
 )
 from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
-from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _rotate, completed_coords, pfaffians
-from spinorlab.spin import random_unit_vector, relation_residuals, vector_norm
+from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _pair_coords, _rotate, completed_coords, pfaffians
+from spinorlab.spin import random_unit_vector, relation_residuals
 
 import dense
-from dense import det, skew_table
+from dense import det, skew_table, vector_norm
 
 CL20 = Signature(2, 0)
 CL11 = Signature(1, 1)
@@ -762,7 +762,8 @@ def even_elements(draw):
 @given(skew_tables(), rationals.filter(bool))
 def test_pfaffian_table_and_completion_are_bit_equal_to_the_fraction_oracle(table, scalar):
     assert bits(pfaffians(table)) == bits(dense.pfaffians(table))
-    assert bits(completed_coords(scalar, table)) == bits(dense.completed_coords(scalar, table))
+    pairs = _pair_coords(table, len(table))
+    assert bits(completed_coords(scalar, pairs, len(table))) == bits(dense.completed_coords(scalar, table))
 
 
 @settings(max_examples=120, deadline=None)
