@@ -95,14 +95,12 @@ def blade_grade(mask: int) -> int:
 
 
 def blade_indices(mask: int) -> tuple[int, ...]:
-    """Ascending 1-based generator indices of a blade."""
+    """Ascending 1-based generator indices of a blade, one step per index."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -317,6 +317,13 @@ def test_blade_grade_and_indices():
         mask_from_indices((1, 1))
 
 
+def test_blade_indices_on_every_mask_up_to_max_dim():
+    for mask in range(1 << MAX_DIM):
+        indices = blade_indices(mask)
+        assert indices == tuple(i + 1 for i in range(MAX_DIM) if mask >> i & 1)
+        assert mask_from_indices(indices) == mask
+
+
 # -- the integer product against the Fraction oracle ---------------------------
 
 
