@@ -3,10 +3,11 @@
 A basis blade e_{i1...ik} with 1 <= i1 < ... < ik <= p+q is encoded as the
 integer mask with bit i-1 set for every factor e_i; the scalar blade is
 mask 0.  Coefficients are stored as ``fractions.Fraction``, so every
-algebraic identity in this package is decided exactly.  The product
-accumulates integer numerators over one common denominator per operand and
-forms one ``Fraction`` per result blade, at the end.  Floating point exists
-only as a presentation mode at the CLI layer.
+algebraic identity in this package is decided exactly.  Each element also
+keeps its integer form, the numerators over the lcm of its denominators:
+the product multiplies the operands' forms and hands its own over with
+its result, which forms one ``Fraction`` per result blade, at the end.
+Floating point exists only as a presentation mode at the CLI layer.
 
 Generator relations: e_i e_j = -e_j e_i for i != j and e_i**2 = sigma(i),
 where sigma is fixed by the :class:`Signature` and its ordering convention
@@ -23,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvariantViolation
@@ -185,10 +187,17 @@ class Multivector:
     """Sparse multivector: a map from blade masks to exact coefficients.
 
     Instances are immutable; arithmetic returns new objects.  Zero
-    coefficients are never stored.
+    coefficients are never stored.  Beside its ``Fraction`` terms an
+    element keeps their integer form, (mask, numerator) pairs in term order
+    over the lcm of the denominators, as ``linalg._cleared`` gives it: a
+    producer that computes in integers hands it over
+    (:meth:`_from_numerators`), and an element built from ``Fraction``s
+    clears its terms on first use (:meth:`_cleared_terms`), so each element
+    is cleared at most once.  Equality, hashing and the public readers see
+    only the ``Fraction`` terms.
     """
 
-    __slots__ = ("signature", "_terms")
+    __slots__ = ("signature", "_terms", "_form")
 
     def __init__(self, signature: Signature, terms: Mapping[int, Rational] | None = None):
         clean: dict[int, Fraction] = {}
@@ -202,6 +211,7 @@ class Multivector:
                     clean[mask] = c
         self.signature = signature
         self._terms = clean
+        self._form: tuple[list[tuple[int, int]], int] | None = None
 
     @classmethod
     def _from_terms(cls, signature: Signature, terms: dict[int, Fraction]) -> "Multivector":
@@ -209,12 +219,38 @@ class Multivector:
         out = cls.__new__(cls)
         out.signature = signature
         out._terms = terms
+        out._form = None
+        return out
+
+    @classmethod
+    def _from_numerators(cls, signature: Signature, terms: Iterable[tuple[int, int]], scale: int) -> "Multivector":
+        """The element sum v/scale e_mask over (mask, v) pairs valid by
+        construction (distinct masks in range), zeros dropped, scale nonzero.
+
+        The form is reduced once, by the gcd of the scale and every
+        numerator and to a positive scale, which makes it the one
+        ``linalg._cleared`` gives of the ``Fraction`` terms; it is kept.
+        """
+        pairs = [(mask, v) for mask, v in terms if v]
+        g = gcd(scale, *[v for _, v in pairs])
+        if scale < 0:
+            g = -g
+        if g != 1:
+            pairs = [(mask, v // g) for mask, v in pairs]
+            scale //= g
+        out = cls.__new__(cls)
+        out.signature = signature
+        out._terms = {mask: Fraction(v, scale) for mask, v in pairs}
+        out._form = (pairs, scale)
         return out
 
     def _cleared_terms(self) -> tuple[list[tuple[int, int]], int]:
-        """(mask, numerator) pairs over the lcm of the denominators, and that lcm."""
-        numerators, scale = _cleared(self._terms.values())
-        return list(zip(self._terms, numerators)), scale
+        """(mask, numerator) pairs over the lcm of the denominators, and that
+        lcm: the kept form, cleared here on first use.  Read only."""
+        if self._form is None:
+            numerators, scale = _cleared(self._terms.values())
+            self._form = (list(zip(self._terms, numerators)), scale)
+        return self._form
 
     # -- constructors ------------------------------------------------------
 
@@ -296,21 +332,20 @@ class Multivector:
     def __mul__(self, other: Union["Multivector", Rational]) -> "Multivector":
         """Geometric product, or scaling by a rational.
 
-        Each operand is cleared to integer numerators over the lcm of its
-        denominators; the signed numerator products are summed per result
-        blade and divided by the product of the two lcms once.
+        Each operand's integer form is read (:meth:`_cleared_terms`); the
+        signed numerator products are summed per result blade over the
+        product of the two lcms, and that form is handed to the result.
         """
         left, d1 = self._cleared_terms()
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Multivector._from_terms(self.signature, {})
-            p, d2 = other.numerator, other.denominator * d1
-            return Multivector._from_terms(self.signature, {m: Fraction(v * p, d2) for m, v in left})
+            return Multivector._from_numerators(
+                self.signature, [(m, v * other.numerator) for m, v in left], other.denominator * d1
+            )
         self._check_signature(other)
         right, d2 = other._cleared_terms()
-        scale = d1 * d2
-        out = _numerator_product(left, right, self.signature)
-        return Multivector._from_terms(self.signature, {m: Fraction(v, scale) for m, v in out.items() if v})
+        return Multivector._from_numerators(
+            self.signature, _numerator_product(left, right, self.signature).items(), d1 * d2
+        )
 
     def __rmul__(self, other: Rational) -> "Multivector":
         if isinstance(other, (int, Fraction)):

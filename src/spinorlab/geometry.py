@@ -47,8 +47,8 @@ from .matrices import (
     point_blade_images,
     quadratic_form,
 )
-from .spin import SpinElement, _chart, _obeys_relations, _pair_coords, _rotate, completed_coords, is_spin_plus
-from .spin import relation_residuals
+from .spin import SpinElement, _chart, _obeys_relations, _pair_coords, _residuals, _rotate, completed_coords
+from .spin import is_spin_plus
 
 Coords = Sequence[Rational]
 
@@ -136,8 +136,8 @@ class SpinorCoords:
 
     def relation_residuals(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Residuals of the coordinate relations of the renamed element's
-        chart; all zero exactly on pure spinors."""
-        return relation_residuals(self._chart().coefficient, self.n + 1)
+        chart, read off its integer form; all zero exactly on pure spinors."""
+        return _residuals(*self._chart()._cleared_terms(), self.n + 1)
 
     def satisfies_relations(self) -> bool:
         """Whether the spinor is pure: the chart obeys the relations, decided

@@ -24,10 +24,10 @@ pairs or a caller's skew table is checked and read once, at the boundary
 (:func:`_pair_coords`; :func:`pfaffians` and :func:`pfaffian` read the upper
 triangle), and no n x n table is built.  Every Pfaffian is read from one
 integer list over index masks: the pairs are cleared into it once
-(:func:`_numerators_by_mask`, which also clears the coordinates of the
-residuals and of the quadrics), and each larger even set is filled in by
-size (:func:`_fill_pfaffians`).  The residuals fill a copy of their own
-cleared coordinates, whose pairs are already those of A.
+(:func:`_by_mask`, which also lays out the coordinates of the residuals
+and of the quadrics), and each larger even set is filled in by size
+(:func:`_fill_pfaffians`).  The residuals fill a copy of their own
+integer coordinates, whose pairs are already those of A.
 With a != 0 the relations are equivalent to quadrics of degree 2 (C.
 Chevalley, *The Algebraic Theory of Spinors*, 1954),
 
@@ -53,12 +53,16 @@ so no action inverts it.  A rotation reads only the grade-1 coefficients of
 s x = y s and (y,y) = (x,x) in integers; the point motions of the geometry
 module are these rotations.
 
-Coordinates are stored as ``Fraction``.  The Pfaffians, the relation
-residuals and quadrics, the completion, the spin norm, the rotation, the
-seeded unit vectors and the product of a chain of vectors accumulate
-integer numerators over one common denominator and form one ``Fraction``
-per output, at the end; the residuals, the quadrics, the two norm routes
-and the rotation's checks are compared as integers.
+Coordinates are stored as ``Fraction``, and each element keeps its integer
+form beside them: numerators over the lcm of its denominators
+(``Multivector._cleared_terms``).  The producers that compute in integers
+hand that form over with the element they make: the seeded unit vectors,
+the product of a chain of vectors, the completion behind
+:func:`reconstruct_from_low_grade`, the rotation and the Clifford product.
+The spin norm, the quadrics, the residuals of :func:`check_relations` and
+the rotation read it, so each element is cleared at most once, and only
+when it was built from ``Fraction``s.  The residuals, the quadrics, the two
+norm routes and the rotation's checks are compared as integers.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _blade_token, _negative_mask, _numerator_product
 from .blades import _sign_mask, blade_indices, mask_from_indices
@@ -146,20 +150,18 @@ def pfaffians(table: Sequence[Sequence[Rational]]) -> list[Fraction]:
     return completed_coords(1, _upper_pairs(table, range(len(table))), len(table))
 
 
-def _upper_pairs(table: Sequence[Sequence[Rational]], idx: Sequence[int]) -> dict[int, Rational]:
+def _upper_pairs(table: Sequence[Sequence[Rational]], idx: Sequence[int]) -> dict[int, Fraction]:
     """The pairs {a, b}, a < b, of the rows and columns idx of a table, by
-    blade mask, each read once from table[idx[a]][idx[b]]."""
-    return {1 << a | 1 << b: table[i][j] for (a, i), (b, j) in combinations(enumerate(idx), 2)}
+    blade mask, each read once from table[idx[a]][idx[b]] as a ``Fraction``."""
+    return {1 << a | 1 << b: Fraction(table[i][j]) for (a, i), (b, j) in combinations(enumerate(idx), 2)}
 
 
-def _numerators_by_mask(values: Mapping[int, Rational], n: int) -> tuple[list[int], int]:
-    """The values cleared to integers over the lcm D of their denominators,
-    as a list of 2^n by blade mask with 0 off the map; and D."""
+def _by_mask(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """(mask, numerator) pairs as a list of 2^n by blade mask, 0 off the pairs."""
     out = [0] * (1 << n)
-    cleared, scale = _cleared(values.values())
-    for mask, v in zip(values, cleared):
+    for mask, v in terms:
         out[mask] = v
-    return out, scale
+    return out
 
 
 def _fill_pfaffians(pfs: list[int], n: int) -> list[int]:
@@ -201,6 +203,12 @@ def _masks_of_size(n: int, size: int) -> tuple[int, ...]:
     """The masks of the size-element subsets of n generators, in the
     lexicographic order of :func:`relation_residuals`."""
     return tuple(sum(1 << i for i in subset) for subset in combinations(range(n), size))
+
+
+@lru_cache(maxsize=None)
+def _index_sets(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The 1-based index tuples of :func:`_masks_of_size`, in its order."""
+    return tuple(map(blade_indices, _masks_of_size(n, size)))
 
 
 def pfaffian(skew: Sequence[Sequence[Rational]], indices: Sequence[int] | None = None) -> Fraction:
@@ -279,11 +287,11 @@ def _obeys_relations(t: Multivector) -> bool:
     a per-rank list (:func:`_masks_of_size`), which was as fast as Gosper's
     next-subset step inline and faster than it as a generator.
     """
-    terms = dict(t.items())
+    terms = t._cleared_terms()[0]
     n = t.signature.dim
-    numerators = _numerators_by_mask(terms, n)[0]
+    numerators = _by_mask(terms, n)
     a = numerators[0]
-    top = max(map(int.bit_count, terms), default=0)
+    top = max([mask.bit_count() for mask, _ in terms], default=0)
     for size in range(4, min(top + 2, n) + 1, 2):
         for mask in _masks_of_size(n, size):
             if a * numerators[mask] != _expansion(mask, numerators, numerators):
@@ -375,41 +383,43 @@ def relation_residuals(
 
     ``coord`` reads the coordinates of a rank-n element by blade mask; A is
     the skew matrix of its grade-2 coordinates.  Sets come by size, then in
-    lexicographic order.
+    lexicographic order.  The even coordinates are read and cleared once
+    (:func:`_residuals`).
     """
-    numerators, scale = _residual_numerators(coord, n)
-    powers = [scale**k for k in range(n // 2 + 1)]
-    return [(subset, Fraction(v, powers[k]) if v else _ZERO) for subset, k, v in numerators]
+    evens = [mask for mask in range(1 << n) if not mask.bit_count() & 1]
+    numerators, scale = _cleared([coord(mask) for mask in evens])
+    return _residuals(zip(evens, numerators), scale, n)
 
 
-def _residual_numerators(
-    coord: Callable[[int], Fraction], n: int
-) -> tuple[list[tuple[tuple[int, ...], int, int]], int]:
-    """(I, k, N_0^(k-1) N_I - Pf(N_A)_I) for every even index set I, |I| = 2k >= 4,
-    in the order of :func:`relation_residuals`, and D.
+def _residuals(
+    terms: Iterable[tuple[int, int]], scale: int, n: int
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The residuals of :func:`relation_residuals` from the integer form N of
+    an even rank-n element, (mask, numerator) pairs over the scale D.
 
-    N = D a are the even coordinates over the lcm D of their denominators,
-    so the residual of I is the integer given here over D^k.  The pairs of N
-    are those of N_A, so a copy of N filled by size holds Pf(N_A).
+    The residual of I, |I| = 2k, is (N_0^(k-1) N_I - Pf(N_A)_I) / D^k.  The
+    pairs of N are those of N_A, so a copy of N filled by size holds
+    Pf(N_A); the index tuples come from the per-rank cache of the sets.
     """
-    evens = {mask: coord(mask) for mask in range(1 << n) if not mask.bit_count() & 1}
-    numerators, scale = _numerators_by_mask(evens, n)
+    numerators = _by_mask(terms, n)
     pfs = _fill_pfaffians(numerators.copy(), n)
     out = []
     for size in range(4, n + 1, 2):
-        power = numerators[0] ** (size // 2 - 1)
-        for mask in _masks_of_size(n, size):
-            out.append((blade_indices(mask), size // 2, power * numerators[mask] - pfs[mask]))
-    return out, scale
+        power, den = numerators[0] ** (size // 2 - 1), scale ** (size // 2)
+        for indices, mask in zip(_index_sets(n, size), _masks_of_size(n, size)):
+            v = power * numerators[mask] - pfs[mask]
+            out.append((indices, Fraction(v, den) if v else _ZERO))
+    return out
 
 
 def check_relations(s: SpinElement) -> RelationReport:
     """Evaluate every coordinate relation instance and the norm condition.
 
-    With a nonzero scalar the element is its own chart, so these residuals
-    settle its Lipschitz verdict, which is kept.
+    The residuals read the element's kept integer form.  With a nonzero
+    scalar the element is its own chart, so these residuals settle its
+    Lipschitz verdict, which is kept.
     """
-    residuals = tuple(relation_residuals(s.value.coefficient, s.signature.dim))
+    residuals = tuple(_residuals(*s.value._cleared_terms(), s.signature.dim))
     norm = s.norm()
     ok = all(value == 0 for _, value in residuals)
     if s.scalar_coord():
@@ -422,32 +432,42 @@ def check_relations(s: SpinElement) -> RelationReport:
     )
 
 
-def completed_coords(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> list[Fraction]:
+def completed_coords(scalar: Rational, pairs: Mapping[int, Fraction], n: int) -> list[Fraction]:
     """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I of n
     indices, by blade mask, from the pairs a^{ij} of A by mask.
 
     Pf of the empty set is 1, so the scalar comes back as a, each pair as
-    itself, and odd sets as 0.  The scalar must be nonzero.  The pairs are
-    cleared once, to D A with D the lcm of their denominators, and Pf(D A)
-    is filled in by size; with a = p/q, a^I is
-    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.  The list
-    has 2^n entries, so n is capped at MAX_DIM.
+    itself, and odd sets as 0.  The scalar must be nonzero.  The list has
+    2^n entries, so n is capped at MAX_DIM.  One ``Fraction`` is formed per
+    nonzero set, from the integer completion (:func:`_completion`).
+    """
+    numerators, scale = _completion(scalar, pairs, n)
+    return [Fraction(v, scale) if v else _ZERO for v in numerators]
+
+
+def _completion(scalar: Rational, pairs: Mapping[int, Fraction], n: int) -> tuple[list[int], int]:
+    """The coordinates of :func:`completed_coords` as integer numerators by
+    blade mask over one common scale.
+
+    The pairs are cleared once, to D A with D the lcm of their denominators,
+    and Pf(D A) is filled in by size.  With a = p/q and m = max(n // 2, 1),
+    a^I = Pf(D A)_I q^(k-1) / (D^k p^(k-1)) for |I| = 2k is the numerator
+    Pf(D A)_I q^k (D p)^(m-k) over the scale q D^m p^(m-1).
     """
     a = Fraction(scalar)
     if a == 0:
         raise ValueError("completion needs a nonzero scalar coordinate")
     if n > MAX_DIM:
         raise ValueError(f"Pfaffian tables take at most {MAX_DIM} indices, got {n}")
-    pfs, scale = _numerators_by_mask(pairs, n)
+    values, scale = _cleared(pairs.values())
+    pfs = _by_mask(zip(pairs, values), n)
     pfs[0] = 1
     _fill_pfaffians(pfs, n)
     p, q = a.numerator, a.denominator
-    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, n // 2 + 1)]
-    out = []
-    for mask, pf in enumerate(pfs):
-        num, den = ratios[mask.bit_count() // 2]
-        out.append(Fraction(pf * num, den) if pf else _ZERO)
-    return out
+    m = max(n // 2, 1)
+    factors = [q**k * (scale * p) ** (m - k) for k in range(n // 2 + 1)]
+    numerators = [pf * factors[mask.bit_count() // 2] if pf else 0 for mask, pf in enumerate(pfs)]
+    return numerators, q * scale**m * p ** (m - 1)
 
 
 def reconstruct_from_low_grade(
@@ -459,10 +479,11 @@ def reconstruct_from_low_grade(
     coordinates filled in by the Pfaffian relations.
 
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
-    meaningless otherwise.
+    meaningless otherwise.  The integer completion is handed to the element
+    as its form.
     """
-    coords = completed_coords(scalar, _pair_coords(skew, sig.dim), sig.dim)
-    return SpinElement(Multivector._from_terms(sig, {mask: c for mask, c in enumerate(coords) if c}))
+    numerators, scale = _completion(scalar, _pair_coords(skew, sig.dim), sig.dim)
+    return SpinElement(Multivector._from_numerators(sig, enumerate(numerators), scale))
 
 
 def _pair_coords(
@@ -482,7 +503,7 @@ def _pair_coords(
         raise ValueError(f"skew table must be {n}x{n}")
     if any(Fraction(skew[i][j]) != -Fraction(skew[j][i]) for i in range(n) for j in range(i, n)):
         raise ValueError("grade-2 table is not skew-symmetric")
-    return {mask: Fraction(v) for mask, v in _upper_pairs(skew, range(n)).items()}
+    return _upper_pairs(skew, range(n))
 
 
 def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
@@ -490,9 +511,10 @@ def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
 
     Each factor is cleared once, to integer numerators over the lcm of its
     denominators.  The chain is multiplied in integers over the product of
-    those lcms, dropping the blades that cancel at each step, and one
-    ``Fraction`` is formed per term of the product, at the end.  The terms
-    come in the order that the same chain of ``Multivector`` products gives.
+    those lcms, dropping the blades that cancel at each step, and handed to
+    the product as its form, which forms one ``Fraction`` per term, at the
+    end.  The terms come in the order that the same chain of ``Multivector``
+    products gives.
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -508,7 +530,7 @@ def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
         right, d = v._cleared_terms()
         scale *= d
         terms = [(mask, c) for mask, c in _numerator_product(terms, right, first.signature).items() if c]
-    return SpinElement(Multivector._from_terms(first.signature, {mask: Fraction(c, scale) for mask, c in terms}))
+    return SpinElement(Multivector._from_numerators(first.signature, terms, scale))
 
 
 def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Multivector:
@@ -517,8 +539,8 @@ def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Mu
     Reflecting a basis vector e_b of the wanted norm across the hyperplane of
     a random integer vector u preserves the quadratic form exactly and stays
     rational: v = e_b - 2 B(e_b,u)/B(u,u) u.  The coordinates are held as
-    integer numerators over B(u,u), the norm is checked in integers, and one
-    ``Fraction`` is formed per nonzero coordinate.
+    integer numerators over B(u,u), the norm is checked in integers, and
+    that form is handed to the vector.
     """
     sigmas = sig.sigmas()
     try:
@@ -535,7 +557,7 @@ def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Mu
     numerators[base_index] += uu
     if sum(s * v * v for s, v in zip(sigmas, numerators)) != norm_sign * uu * uu:
         raise InvariantViolation("reflection failed to preserve the vector norm")
-    return Multivector._from_terms(sig, {1 << i: Fraction(v, uu) for i, v in enumerate(numerators) if v})
+    return Multivector._from_numerators(sig, [(1 << i, v) for i, v in enumerate(numerators)], uu)
 
 
 def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = False) -> SpinElement:
@@ -561,10 +583,14 @@ def random_spin_element(sig: Signature, seed: int, k: int, norm_plus: bool = Fal
     vectors = [random_unit_vector(sig, rng, sign) for sign in chosen]
     element = spin_from_vectors(vectors)
     norm = _verified_norm(element)
+    where = f"in Cl({sig.p},{sig.q}) {sig.ordering}, k = {k}"
     if norm is None:
-        raise InvariantViolation("product of unit vectors failed the spin predicate")
+        raise InvariantViolation(
+            f"product of unit vectors failed the spin predicate {where}: "
+            f"N(s) = {element.norm()}, Lipschitz {element.lipschitz()}"
+        )
     if norm_plus and norm != 1:
-        raise InvariantViolation("norm balancing failed")
+        raise InvariantViolation(f"norm balancing failed {where}: N(s) = {norm}, not 1")
     return element
 
 
@@ -583,15 +609,15 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
 def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
     """The vector y = s x s^-1 for a verified spin element of norm N(s) = norm.
 
-    s and x are cleared once each, to S over D_s and X over D_x.  Only the
+    s and x are read in their kept integer forms, S over D_s and X over D_x.  Only the
     grade-1 coefficients of (s x) reverse(s) / N are read: the e_i coefficient
     Y_i pairs each term of SX = S X with the term of reverse(S), read off S
     by grade, whose blade differs from it in e_i alone, with the sign mask
     of each SX term formed once.  With N = p/q, y = q Y / (p D_s^2 D_x).  The
     exact identity s x = y s, decided in integers as q Y S = p D_s^2 SX, then
     shows that the conjugate has no other grade, and q^2 Q(Y) = p^2 D_s^4 Q(X)
-    that it keeps the form.  One ``Fraction`` is formed per nonzero
-    coordinate of y.
+    that it keeps the form.  The integer form q Y over p D_s^2 D_x is handed
+    to y.
     """
     sig = s.signature
     negative = _negative_mask(sig.p, sig.q, sig.ordering)
@@ -635,4 +661,4 @@ def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
             "conjugation changed the quadratic form: "
             f"(y,y) = {Fraction(q * q * form_y, scale * scale)}, (x,x) = {Fraction(form_x, x_scale * x_scale)}"
         )
-    return Multivector._from_terms(sig, {bit: Fraction(q * v, scale) for bit, v in y_terms})
+    return Multivector._from_numerators(sig, [(bit, q * v) for bit, v in y_terms], scale)

@@ -351,16 +351,16 @@ def test_each_element_is_verified_once(monkeypatch, argv, route):
     # pure by construction, with a zero scalar too
     counts = {"quadrics": 0, "report": 0, "inverse": 0}
     quadrics = spinorlab.spin._obeys_relations
-    residual_numerators = spinorlab.spin._residual_numerators
+    residuals = spinorlab.spin._residuals
     inverse = Multivector.inverse
 
     def counted_quadrics(t):
         counts["quadrics"] += 1
         return quadrics(t)
 
-    def counted_report(coord, n):
+    def counted_report(terms, scale, n):
         counts["report"] += 1
-        return residual_numerators(coord, n)
+        return residuals(terms, scale, n)
 
     def counted_inverse(self):
         counts["inverse"] += 1
@@ -368,7 +368,8 @@ def test_each_element_is_verified_once(monkeypatch, argv, route):
 
     monkeypatch.setattr(spinorlab.spin, "_obeys_relations", counted_quadrics)
     monkeypatch.setattr(spinorlab.geometry, "_obeys_relations", counted_quadrics)
-    monkeypatch.setattr(spinorlab.spin, "_residual_numerators", counted_report)
+    monkeypatch.setattr(spinorlab.spin, "_residuals", counted_report)
+    monkeypatch.setattr(spinorlab.geometry, "_residuals", counted_report)
     monkeypatch.setattr(Multivector, "inverse", counted_inverse)
     with contextlib.redirect_stdout(io.StringIO()):
         assert spinorlab.cli.main(argv) == 0
@@ -423,8 +424,8 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 6, 3)),
-        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 6, 3)),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 1, 3)),
+        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 1, 3)),
         (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (3, 0, 1)),
         (["xi", "--n", "2", "--x", "1,2,3,4,5"], (0, 0, 1)),
     ],
@@ -432,15 +433,15 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 )
 def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
     # geometry clears x, the kernel basis, y and the images once each, so a
-    # motion's counts do not grow with its 2^(n-1) kernel vectors.  Of the 6
-    # term clearings, the k = 1 element's two unit vectors take one each (their
-    # reflections and norm checks run in integers), N(s) one, the point
-    # rotation two (s and x, once each; its read-off, its check s x = y s and
-    # its form check run on those numerators) and the kernel verdict one.  The
-    # element's relation verdict clears its coordinates without this helper.  Q is formed once per point: x
-    # and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
-    # expected: calls of geometry._cleared, Multivector._cleared_terms and quadratic_form
-    counts = {"cleared": 0, "cleared_terms": 0, "forms": 0}
+    # motion's counts do not grow with its 2^(n-1) kernel vectors.  A
+    # multivector is cleared only when it was built from Fractions: the
+    # k = 1 element's unit vectors, their product, its chart and its rotated
+    # vector are handed their integer forms by the producers, and N(s), the
+    # relation verdict, the rotation and the kernel images read those.  The
+    # one slot fill is the point rotation's x.  Q is formed once per point:
+    # x and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
+    # expected: calls of geometry._cleared, slot fills (blades._cleared) and quadratic_form
+    counts = {"cleared": 0, "fills": 0, "forms": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -450,7 +451,7 @@ def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
         return wrapper
 
     monkeypatch.setattr(spinorlab.geometry, "_cleared", counted("cleared", spinorlab.geometry._cleared))
-    monkeypatch.setattr(Multivector, "_cleared_terms", counted("cleared_terms", Multivector._cleared_terms))
+    monkeypatch.setattr(spinorlab.blades, "_cleared", counted("fills", spinorlab.blades._cleared))
     form = counted("forms", spinorlab.matrices.quadratic_form)
     for module in (spinorlab.cli, spinorlab.geometry, spinorlab.matrices):
         monkeypatch.setattr(module, "quadratic_form", form)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinorlab.spin
 from spinorlab import (
     INTERLEAVED,
     Multivector,
@@ -29,6 +30,7 @@ from spinorlab import (
 )
 from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
+from spinorlab.linalg import _cleared
 from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _pair_coords, _rotate, completed_coords, pfaffians
 from spinorlab.spin import random_unit_vector, relation_residuals
 
@@ -116,6 +118,18 @@ def test_pfaffian_table_squares_to_determinants():
             continue
         assert pf == pfaffian(skew, idx)
         assert pf**2 == det([[skew[i][j] for j in idx] for i in idx])
+
+
+def test_pfaffian_converts_float_and_string_entries():
+    # entries are read as Fraction(entry) at the boundary, as reconstruction does
+    assert pfaffian([[0, 0.5], [-0.5, 0]]) == Fraction(1, 2)
+    assert pfaffians([["0", "1/3"], ["-1/3", "0"]]) == [1, 0, 0, Fraction(1, 3)]
+    table = [["0", "2", "1/2", "0"], ["-2", "0", "3", "1"], ["-1/2", "-3", "0", "5"], ["0", "-1", "-5", "0"]]
+    assert pfaffian(table) == Fraction(2 * 5 - Fraction(1, 2) * 1)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        pfaffian([["0", "x"], ["-x", "0"]])
+    with pytest.raises(ValueError, match="Invalid literal"):
+        pfaffians([["0", "1/2", "two"], ["-1/2", "0", "0"], ["-2", "0", "0"]])
 
 
 def test_pfaffian_rejects_tables_beyond_max_dim():
@@ -700,6 +714,28 @@ def test_shared_element_verdicts_agree_across_threads():
     assert all(is_spin(s) and s.lipschitz() for s in fresh)
 
 
+def test_a_failed_spin_predicate_names_its_evidence(monkeypatch):
+    # the draw reads the form through sigmas and the product through the
+    # negative mask; a broken sigmas table draws vectors that are not unit
+    monkeypatch.setattr(Signature, "sigmas", lambda self: (1, -1))
+    with pytest.raises(InvariantViolation) as caught:
+        random_spin_element(CL20, 0, 1)
+    assert str(caught.value) == (
+        "product of unit vectors failed the spin predicate in Cl(2,0) plain, k = 1: "
+        "N(s) = 17/8, Lipschitz True"
+    )
+
+
+def test_a_failed_norm_balancing_names_its_evidence(monkeypatch):
+    # the spin norm read with the opposite sign passes the spin predicate
+    # but turns the balanced product's N(s) = 1 into -1
+    spin_norm = spinorlab.spin.spin_norm
+    monkeypatch.setattr(spinorlab.spin, "spin_norm", lambda s: -spin_norm(s))
+    with pytest.raises(InvariantViolation) as caught:
+        random_spin_element(Signature(2, 1, INTERLEAVED), 3, 2, norm_plus=True)
+    assert str(caught.value) == "norm balancing failed in Cl(2,1) interleaved, k = 2: N(s) = -1, not 1"
+
+
 def test_apply_rotation_rejects_bad_input():
     s = SpinElement(Multivector.scalar(CL20, 2))
     with pytest.raises(ValueError):
@@ -803,3 +839,64 @@ def test_vector_norm_is_bit_equal_to_the_square(data):
     sig = Signature(p, dim - p, data.draw(st.sampled_from(["plain", INTERLEAVED])))
     x = Multivector.vector(sig, data.draw(st.lists(rationals, min_size=dim, max_size=dim)))
     assert bits([vector_norm(x)]) == bits([dense.product(x, x).scalar_part()])
+
+
+@st.composite
+def signatures(draw, min_dim=0):
+    """Dims min_dim..8, plain or interleaved, definite or indefinite."""
+    dim = draw(st.integers(min_dim, 8))
+    p = draw(st.integers(0, dim))
+    return Signature(p, dim - p, draw(st.sampled_from(["plain", INTERLEAVED])))
+
+
+@st.composite
+def multivectors(draw, sig, max_terms=5):
+    masks = st.integers(0, (1 << sig.dim) - 1)
+    return Multivector(sig, draw(st.dictionaries(masks, rationals, max_size=max_terms)))
+
+
+def assert_kept_form_is_the_clearing(m, handed=True):
+    """The element's integer form is linalg._cleared of its Fraction terms,
+    bit for bit and in term order; a handed-over form is there before any
+    read."""
+    assert (m._form is not None) == handed
+    numerators, scale = _cleared([c for _, c in m.items()])
+    expected = [(mask, int, v) for mask, v in zip(m.masks(), numerators)]
+    pairs, kept_scale = m._cleared_terms()
+    assert [(mask, type(v), v) for mask, v in pairs] == expected
+    assert (type(kept_scale), kept_scale) == (int, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_producer_keeps_the_clearing_of_its_terms(data):
+    sig = data.draw(signatures())
+    a, b = data.draw(multivectors(sig)), data.draw(multivectors(sig))
+    assert_kept_form_is_the_clearing(a, handed=False)
+    product = a * b
+    assert_kept_form_is_the_clearing(product)
+    assert_kept_form_is_the_clearing(a * data.draw(rationals | st.integers(-6, 6)))
+    # elements built from Fraction terms clear them on first use, never
+    # carrying over an operand's form
+    for derived in (-product, product.reverse(), product + a, a - product):
+        assert_kept_form_is_the_clearing(derived, handed=False)
+    table = [[Fraction(0)] * sig.dim for _ in range(sig.dim)]
+    for i in range(sig.dim):
+        for j in range(i + 1, sig.dim):
+            v = data.draw(rationals | st.just(Fraction(0)))
+            table[i][j], table[j][i] = v, -v
+    completed = reconstruct_from_low_grade(data.draw(rationals.filter(bool)), table, sig)
+    assert_kept_form_is_the_clearing(completed.value)
+    if not sig.dim:
+        return
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    signs = [sign for sign, count in ((1, sig.p), (-1, sig.q)) if count]
+    vectors = [random_unit_vector(sig, rng, data.draw(st.sampled_from(signs))) for _ in range(2)]
+    for v in vectors:
+        assert_kept_form_is_the_clearing(v)
+    free = [data.draw(st.lists(rationals, min_size=sig.dim, max_size=sig.dim)) for _ in range(2)]
+    chain = spin_from_vectors(vectors + [Multivector.vector(sig, coords) for coords in free])
+    assert_kept_form_is_the_clearing(chain.value)
+    s = random_spin_element(sig, data.draw(st.integers(0, 2**16)), 1)
+    x = Multivector.vector(sig, free[0])
+    assert_kept_form_is_the_clearing(_rotate(s.value, x, s.norm()))
