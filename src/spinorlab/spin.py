@@ -152,8 +152,13 @@ def pfaffians(table: Sequence[Sequence[Rational]]) -> list[Fraction]:
 
 def _upper_pairs(table: Sequence[Sequence[Rational]], idx: Sequence[int]) -> dict[int, Fraction]:
     """The pairs {a, b}, a < b, of the rows and columns idx of a table, by
-    blade mask, each read once from table[idx[a]][idx[b]] as a ``Fraction``."""
-    return {1 << a | 1 << b: Fraction(table[i][j]) for (a, i), (b, j) in combinations(enumerate(idx), 2)}
+    blade mask, each read once from table[idx[a]][idx[b]]: kept when it is a
+    ``Fraction``, converted by ``Fraction`` otherwise."""
+    pairs = {}
+    for (a, i), (b, j) in combinations(enumerate(idx), 2):
+        v = table[i][j]
+        pairs[1 << a | 1 << b] = v if type(v) is Fraction else Fraction(v)
+    return pairs
 
 
 def _by_mask(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
@@ -432,27 +437,30 @@ def check_relations(s: SpinElement) -> RelationReport:
     )
 
 
-def completed_coords(scalar: Rational, pairs: Mapping[int, Fraction], n: int) -> list[Fraction]:
+def completed_coords(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> list[Fraction]:
     """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I of n
     indices, by blade mask, from the pairs a^{ij} of A by mask.
 
     Pf of the empty set is 1, so the scalar comes back as a, each pair as
-    itself, and odd sets as 0.  The scalar must be nonzero.  The list has
-    2^n entries, so n is capped at MAX_DIM.  One ``Fraction`` is formed per
-    nonzero set, from the integer completion (:func:`_completion`).
+    itself, and odd sets as 0.  The scalar must be nonzero.  With
+    Pf(D A) from :func:`_completion` and a = p/q, a^I is
+    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.  The list
+    has 2^n entries, so n is capped at MAX_DIM.
     """
-    numerators, scale = _completion(scalar, pairs, n)
-    return [Fraction(v, scale) if v else _ZERO for v in numerators]
+    pfs, scale, p, q = _completion(scalar, pairs, n)
+    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, n // 2 + 1)]
+    out = []
+    for mask, pf in enumerate(pfs):
+        num, den = ratios[mask.bit_count() // 2]
+        out.append(Fraction(pf * num, den) if pf else _ZERO)
+    return out
 
 
-def _completion(scalar: Rational, pairs: Mapping[int, Fraction], n: int) -> tuple[list[int], int]:
-    """The coordinates of :func:`completed_coords` as integer numerators by
-    blade mask over one common scale.
+def _completion(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> tuple[list[int], int, int, int]:
+    """Pf(D A) of every index set by blade mask, with Pf of the empty set 1;
+    D, the lcm of the pairs' denominators; and p, q with a = p/q.
 
-    The pairs are cleared once, to D A with D the lcm of their denominators,
-    and Pf(D A) is filled in by size.  With a = p/q and m = max(n // 2, 1),
-    a^I = Pf(D A)_I q^(k-1) / (D^k p^(k-1)) for |I| = 2k is the numerator
-    Pf(D A)_I q^k (D p)^(m-k) over the scale q D^m p^(m-1).
+    The pairs are cleared once, to D A, and Pf(D A) is filled in by size.
     """
     a = Fraction(scalar)
     if a == 0:
@@ -462,12 +470,7 @@ def _completion(scalar: Rational, pairs: Mapping[int, Fraction], n: int) -> tupl
     values, scale = _cleared(pairs.values())
     pfs = _by_mask(zip(pairs, values), n)
     pfs[0] = 1
-    _fill_pfaffians(pfs, n)
-    p, q = a.numerator, a.denominator
-    m = max(n // 2, 1)
-    factors = [q**k * (scale * p) ** (m - k) for k in range(n // 2 + 1)]
-    numerators = [pf * factors[mask.bit_count() // 2] if pf else 0 for mask, pf in enumerate(pfs)]
-    return numerators, q * scale**m * p ** (m - 1)
+    return _fill_pfaffians(pfs, n), scale, a.numerator, a.denominator
 
 
 def reconstruct_from_low_grade(
@@ -479,11 +482,16 @@ def reconstruct_from_low_grade(
     coordinates filled in by the Pfaffian relations.
 
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
-    meaningless otherwise.  The integer completion is handed to the element
-    as its form.
+    meaningless otherwise.  The coordinates of :func:`completed_coords` are
+    handed to the element as one integer form: with m = max(d // 2, 1), a^I
+    for |I| = 2k is Pf(D A)_I q^k (D p)^(m-k) over q D^m p^(m-1).
     """
-    numerators, scale = _completion(scalar, _pair_coords(skew, sig.dim), sig.dim)
-    return SpinElement(Multivector._from_numerators(sig, enumerate(numerators), scale))
+    n = sig.dim
+    pfs, scale, p, q = _completion(scalar, _pair_coords(skew, n), n)
+    m = max(n // 2, 1)
+    factors = [q**k * (scale * p) ** (m - k) for k in range(n // 2 + 1)]
+    terms = [(mask, pf * factors[mask.bit_count() // 2]) for mask, pf in enumerate(pfs)]
+    return SpinElement(Multivector._from_numerators(sig, terms, q * scale**m * p ** (m - 1)))
 
 
 def _pair_coords(
