@@ -16,6 +16,7 @@ from typing import Optional
 from .blades import (
     Multivector,
     Signature,
+    _blade_token,
     blade_grade,
     blade_indices,
     blade_product,
@@ -67,7 +68,8 @@ def classify(sig: Signature) -> AlgebraClass:
     size = 1 << ((dim - offset) // 2)
     result = AlgebraClass(ring=ring, size=size, multiplicity=multiplicity, p=sig.p, q=sig.q)
     if result.real_dimension != 1 << dim:
-        raise InvariantViolation(f"dimension identity broken for Cl({sig.p},{sig.q})")
+        found = f"real dimension {result.real_dimension}, not 2^{dim} = {1 << dim}"
+        raise InvariantViolation(f"dimension identity broken for Cl({sig.p},{sig.q}): {found}")
     return result
 
 
@@ -195,7 +197,9 @@ def unit_pair_for(sig: Signature, m: int | None = None) -> QuaternionUnitPair:
     phi_sq, phi_rest = blade_product(phi, phi, sig)
     psi_sq, psi_rest = blade_product(psi, psi, sig)
     if phi_rest or psi_rest:
-        raise InvariantViolation("a unit of the pair does not square to a scalar")
+        unit, rest = (phi, phi_rest) if phi_rest else (psi, psi_rest)
+        found = f"{_blade_token(unit)} leaves {_blade_token(rest)}"
+        raise InvariantViolation(f"a unit of the pair does not square to a scalar: {found}")
     if phi_sq < 0 and psi_sq < 0:
         kind = "quaternionic"
     elif phi_sq > 0 and psi_sq > 0:
@@ -215,11 +219,14 @@ def _check_pair_invariants(pair: QuaternionUnitPair) -> None:
             s1, m1 = blade_product(unit, gen, sig)
             s2, m2 = blade_product(gen, unit, sig)
             if m1 != m2 or s1 != s2:
-                raise InvariantViolation("unit pair fails to commute with inner generators")
+                u, g = _blade_token(unit), _blade_token(gen)
+                evidence = f"{u} {g} has sign {s1}, {g} {u} has sign {s2}"
+                raise InvariantViolation(f"unit pair fails to commute with inner generators: {evidence}")
     s1, m1 = blade_product(pair.phi, pair.psi, sig)
     s2, m2 = blade_product(pair.psi, pair.phi, sig)
     if m1 != m2 or s1 != -s2:
-        raise InvariantViolation("unit pair fails to anticommute")
+        products = [Multivector.blade(sig, m, s).to_text() for s, m in ((s1, m1), (s2, m2))]
+        raise InvariantViolation(f"unit pair fails to anticommute: phi psi = {products[0]}, psi phi = {products[1]}")
 
 
 def quaternion_split(
@@ -251,9 +258,10 @@ def quaternion_split(
     a1 = Multivector(sig, buckets[(True, False)]) * phi_mv.inverse()
     a2 = Multivector(sig, buckets[(False, True)]) * psi_mv.inverse()
     a3 = Multivector(sig, buckets[(True, True)]) * phi_psi.inverse()
-    for part in (a1, a2, a3):
-        if any(mask & ~inner_limit for mask in part.masks()):
-            raise InvariantViolation("split component escaped the inner subalgebra")
+    for k, part in enumerate((a1, a2, a3), 1):
+        for mask in part.masks():
+            if mask & ~inner_limit:
+                raise InvariantViolation(f"split component escaped the inner subalgebra: A{k} has {_blade_token(mask)}")
     return a0, a1, a2, a3
 
 

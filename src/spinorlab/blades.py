@@ -2,12 +2,13 @@
 
 A basis blade e_{i1...ik} with 1 <= i1 < ... < ik <= p+q is encoded as the
 integer mask with bit i-1 set for every factor e_i; the scalar blade is
-mask 0.  Coefficients are stored as ``fractions.Fraction``, so every
-algebraic identity in this package is decided exactly.  Each element also
-keeps its integer form, the numerators over the lcm of its denominators:
-the product multiplies the operands' forms and hands its own over with
-its result, which forms one ``Fraction`` per result blade, at the end.
-Floating point exists only as a presentation mode at the CLI layer.
+mask 0.  An element holds its coefficients in one reduced integer form:
+a numerator per blade over one positive scale, the lcm of the
+coefficients' denominators, so every algebraic identity in this package
+is decided exactly, and in integers.  Sums, products, scaling, reversion
+and projection work on the numerators; a ``fractions.Fraction`` is formed
+only where a coefficient is read.  Floating point exists only as a
+presentation mode at the CLI layer.
 
 Generator relations: e_i e_j = -e_j e_i for i != j and e_i**2 = sigma(i),
 where sigma is fixed by the :class:`Signature` and its ordering convention
@@ -24,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvariantViolation
@@ -187,17 +188,16 @@ class Multivector:
     """Sparse multivector: a map from blade masks to exact coefficients.
 
     Instances are immutable; arithmetic returns new objects.  Zero
-    coefficients are never stored.  Beside its ``Fraction`` terms an
-    element keeps their integer form, (mask, numerator) pairs in term order
-    over the lcm of the denominators, as ``linalg._cleared`` gives it: a
-    producer that computes in integers hands it over
-    (:meth:`_from_numerators`), and an element built from ``Fraction``s
-    clears its terms on first use (:meth:`_cleared_terms`), so each element
-    is cleared at most once.  Equality, hashing and the public readers see
-    only the ``Fraction`` terms.
+    coefficients are never stored.  An element holds only its reduced
+    integer form: a dict of (mask, numerator) in term order and one
+    positive scale coprime to the numerators, which is ``linalg._cleared``
+    of its coefficients, so equal elements hold equal forms.  The
+    constructor clears its ``Fraction``s once; a producer that computes in
+    integers builds through :meth:`_from_numerators`, which reduces its form
+    once.  The public readers form each ``Fraction`` as they read it.
     """
 
-    __slots__ = ("signature", "_terms", "_form")
+    __slots__ = ("signature", "_numerators", "_scale")
 
     def __init__(self, signature: Signature, terms: Mapping[int, Rational] | None = None):
         clean: dict[int, Fraction] = {}
@@ -209,18 +209,10 @@ class Multivector:
                 c = Fraction(coeff)
                 if c:
                     clean[mask] = c
+        numerators, scale = _cleared(clean.values())
         self.signature = signature
-        self._terms = clean
-        self._form: tuple[list[tuple[int, int]], int] | None = None
-
-    @classmethod
-    def _from_terms(cls, signature: Signature, terms: dict[int, Fraction]) -> "Multivector":
-        """Wrap terms that are valid by construction: masks in range, nonzero Fractions."""
-        out = cls.__new__(cls)
-        out.signature = signature
-        out._terms = terms
-        out._form = None
-        return out
+        self._numerators = dict(zip(clean, numerators))
+        self._scale = scale
 
     @classmethod
     def _from_numerators(cls, signature: Signature, terms: Iterable[tuple[int, int]], scale: int) -> "Multivector":
@@ -229,28 +221,24 @@ class Multivector:
 
         The form is reduced once, by the gcd of the scale and every
         numerator and to a positive scale, which makes it the one
-        ``linalg._cleared`` gives of the ``Fraction`` terms; it is kept.
+        ``linalg._cleared`` gives of the coefficients.
         """
-        pairs = [(mask, v) for mask, v in terms if v]
-        g = gcd(scale, *[v for _, v in pairs])
+        numerators = {mask: v for mask, v in terms if v}
+        g = gcd(scale, *numerators.values())
         if scale < 0:
             g = -g
         if g != 1:
-            pairs = [(mask, v // g) for mask, v in pairs]
+            numerators = {mask: v // g for mask, v in numerators.items()}
             scale //= g
         out = cls.__new__(cls)
         out.signature = signature
-        out._terms = {mask: Fraction(v, scale) for mask, v in pairs}
-        out._form = (pairs, scale)
+        out._numerators = numerators
+        out._scale = scale
         return out
 
-    def _cleared_terms(self) -> tuple[list[tuple[int, int]], int]:
-        """(mask, numerator) pairs over the lcm of the denominators, and that
-        lcm: the kept form, cleared here on first use.  Read only."""
-        if self._form is None:
-            numerators, scale = _cleared(self._terms.values())
-            self._form = (list(zip(self._terms, numerators)), scale)
-        return self._form
+    def _cleared_terms(self) -> tuple[Iterable[tuple[int, int]], int]:
+        """The (mask, numerator) pairs in term order, and the scale."""
+        return self._numerators.items(), self._scale
 
     # -- constructors ------------------------------------------------------
 
@@ -281,25 +269,27 @@ class Multivector:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self._terms.items())
+        scale = self._scale
+        return ((mask, Fraction(v, scale)) for mask, v in self._numerators.items())
 
     def masks(self) -> Iterator[int]:
-        return iter(self._terms)
+        return iter(self._numerators)
 
     def coefficient(self, mask: int) -> Fraction:
-        return self._terms.get(mask, _ZERO)
+        v = self._numerators.get(mask)
+        return Fraction(v, self._scale) if v else _ZERO
 
     def scalar_part(self) -> Fraction:
-        return self._terms.get(0, _ZERO)
+        return self.coefficient(0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._numerators
 
     def is_even(self) -> bool:
-        return all(blade_grade(m) % 2 == 0 for m in self._terms)
+        return all(not m.bit_count() & 1 for m in self._numerators)
 
     def is_grade(self, k: int) -> bool:
-        return all(blade_grade(m) == k for m in self._terms)
+        return all(m.bit_count() == k for m in self._numerators)
 
     def vector_coords(self) -> list[Fraction]:
         """Coordinates of a pure grade-1 element along e_1..e_{p+q}."""
@@ -308,7 +298,7 @@ class Multivector:
         return [self.coefficient(1 << i) for i in range(self.signature.dim)]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._numerators)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -317,24 +307,27 @@ class Multivector:
             raise ValueError(f"signature mismatch: {self.signature} vs {other.signature}")
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        """Sum of the numerators over the lcm of the two scales."""
         self._check_signature(other)
-        out = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            out[mask] = out.get(mask, _ZERO) + coeff
-        return Multivector._from_terms(self.signature, {m: c for m, c in out.items() if c})
+        scale = lcm(self._scale, other._scale)
+        f1, f2 = scale // self._scale, scale // other._scale
+        out = {mask: v * f1 for mask, v in self._numerators.items()}
+        for mask, v in other._numerators.items():
+            out[mask] = out.get(mask, 0) + v * f2
+        return Multivector._from_numerators(self.signature, out.items(), scale)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + -other
 
     def __neg__(self) -> "Multivector":
-        return Multivector._from_terms(self.signature, {m: -c for m, c in self._terms.items()})
+        negated = [(mask, -v) for mask, v in self._numerators.items()]
+        return Multivector._from_numerators(self.signature, negated, self._scale)
 
     def __mul__(self, other: Union["Multivector", Rational]) -> "Multivector":
         """Geometric product, or scaling by a rational.
 
-        Each operand's integer form is read (:meth:`_cleared_terms`); the
-        signed numerator products are summed per result blade over the
-        product of the two lcms, and that form is handed to the result.
+        The signed numerator products are summed per result blade over the
+        product of the two scales.
         """
         left, d1 = self._cleared_terms()
         if isinstance(other, (int, Fraction)):
@@ -360,10 +353,10 @@ class Multivector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.signature == other.signature and self._terms == other._terms
+        return (self.signature, self._scale, self._numerators) == (other.signature, other._scale, other._numerators)
 
     def __hash__(self) -> int:
-        return hash((self.signature, tuple(sorted(self._terms.items()))))
+        return hash((self.signature, self._scale, tuple(sorted(self._numerators.items()))))
 
     def __repr__(self) -> str:
         return f"Multivector({self.signature.p},{self.signature.q}: {self.to_text()})"
@@ -371,19 +364,17 @@ class Multivector:
     # -- involutions and grade structure ------------------------------------
 
     def reverse(self) -> "Multivector":
-        """Reversion: grade-k part scaled by (-1)^(k(k-1)/2)."""
-        out = {}
-        for mask, coeff in self._terms.items():
-            k = blade_grade(mask)
-            out[mask] = -coeff if (k * (k - 1) // 2) & 1 else coeff
-        return Multivector._from_terms(self.signature, out)
+        """Reversion: grade-k part scaled by (-1)^(k(k-1)/2), which is -1
+        exactly when bit 1 of k is set."""
+        out = [(mask, -v if mask.bit_count() & 2 else v) for mask, v in self._numerators.items()]
+        return Multivector._from_numerators(self.signature, out, self._scale)
 
     def grade_projection(self, k: int) -> "Multivector":
         """Grade-k part; k must lie in 0..p+q."""
         if not 0 <= k <= self.signature.dim:
             raise ValueError(f"grade {k} outside 0..{self.signature.dim}")
-        terms = {m: c for m, c in self._terms.items() if blade_grade(m) == k}
-        return Multivector._from_terms(self.signature, terms)
+        terms = [(m, v) for m, v in self._numerators.items() if m.bit_count() == k]
+        return Multivector._from_numerators(self.signature, terms, self._scale)
 
     # -- inversion ----------------------------------------------------------
 
@@ -395,12 +386,12 @@ class Multivector:
         the left-multiplication operator (the regular representation); that
         path is limited to p+q <= 10 to keep the solve size bounded.
         """
-        if not self._terms:
+        if not self._numerators:
             raise ValueError("zero multivector has no inverse")
         rev = self.reverse()
         norm = self * rev
-        if len(norm) == 1 and 0 in norm._terms:
-            return rev * (Fraction(1) / norm._terms[0])
+        if len(norm) == 1 and 0 in norm._numerators:
+            return rev * Fraction(norm._scale, norm._numerators[0])
         dim = self.signature.dim
         if dim > 10:
             raise ValueError("general inversion limited to p+q <= 10")
@@ -408,7 +399,7 @@ class Multivector:
         cols: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
         for basis_mask in range(size):
             image = self * Multivector.blade(self.signature, basis_mask)
-            for mask, coeff in image._terms.items():
+            for mask, coeff in image.items():
                 cols[mask][basis_mask] = coeff
         rhs = [Fraction(0)] * size
         rhs[0] = Fraction(1)
@@ -421,11 +412,11 @@ class Multivector:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``1 - 2*e12 + 1/3*e134``."""
-        if not self._terms:
+        if not self._numerators:
             return "0"
         parts: list[str] = []
-        for mask in sorted(self._terms, key=lambda m: (blade_grade(m), m)):
-            coeff = self._terms[mask]
+        for mask in sorted(self._numerators, key=lambda m: (blade_grade(m), m)):
+            coeff = Fraction(self._numerators[mask], self._scale)
             mag = -coeff if coeff < 0 else coeff
             if mask == 0:
                 body = str(mag)
@@ -456,7 +447,7 @@ class Multivector:
 
     def to_json_terms(self) -> list[dict]:
         """List of ``{"mask", "value"}`` records sorted by mask; values are exact rationals."""
-        return [{"mask": mask, "value": self._terms[mask]} for mask in sorted(self._terms)]
+        return [{"mask": mask, "value": Fraction(v, self._scale)} for mask, v in sorted(self._numerators.items())]
 
     @classmethod
     def from_json_terms(cls, sig: Signature, records: Iterable[Mapping[str, Rational]]) -> "Multivector":

@@ -153,8 +153,9 @@ class SpinorCoords:
         itself.
         """
         n = self.n
-        terms = {_renamed(mask, n): value for mask, value in enumerate(self.values) if value}
-        return _chart(Multivector._from_terms(Signature(n + 1, 0), terms))
+        numerators, scale = _cleared(self.values)
+        terms = [(_renamed(mask, n), v) for mask, v in enumerate(numerators)]
+        return _chart(Multivector._from_numerators(Signature(n + 1, 0), terms, scale))
 
     @staticmethod
     def coordinate_name(mask: int) -> str:
@@ -502,9 +503,9 @@ def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[Spino
     """rep(m) a for each spinor a, with m in the interleaved (n,n) algebra of
     the spinors' rank n, bit-equal to the dense rep_multivector(m, n) times a.
 
-    m is cleared once and all the spinors together once, so a whole kernel
-    basis is mapped on one clearing of each; every image forms one
-    ``Fraction`` per coordinate.
+    m is read in its integer form and all the spinors are cleared together
+    once, so a whole kernel basis is mapped on one clearing; every image
+    forms one ``Fraction`` per coordinate.
     """
     n = spinors[0].n
     if m.signature != neutral_signature(n):

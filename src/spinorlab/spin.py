@@ -53,16 +53,16 @@ so no action inverts it.  A rotation reads only the grade-1 coefficients of
 s x = y s and (y,y) = (x,x) in integers; the point motions of the geometry
 module are these rotations.
 
-Coordinates are stored as ``Fraction``, and each element keeps its integer
-form beside them: numerators over the lcm of its denominators
-(``Multivector._cleared_terms``).  The producers that compute in integers
-hand that form over with the element they make: the seeded unit vectors,
-the product of a chain of vectors, the completion behind
+Every element is held as its reduced integer form, numerators over the
+lcm of its denominators (``Multivector._cleared_terms``).  The producers
+that compute in integers build their element from that form: the seeded
+unit vectors, the product of a chain of vectors, the completion behind
 :func:`reconstruct_from_low_grade`, the rotation and the Clifford product.
 The spin norm, the quadrics, the residuals of :func:`check_relations` and
-the rotation read it, so each element is cleared at most once, and only
-when it was built from ``Fraction``s.  The residuals, the quadrics, the two
-norm routes and the rotation's checks are compared as integers.
+the rotation read it, so no element is cleared after it is built.  The
+residuals, the quadrics, the two norm routes and the rotation's checks are
+compared as integers; a ``Fraction`` is formed only for a value that is
+returned or reported.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .blades import _ZERO, MAX_DIM, Multivector, Rational, Signature, _blade_token, _negative_mask, _numerator_product
 from .blades import _sign_mask, blade_indices, mask_from_indices
@@ -206,7 +206,7 @@ def _expansion(mask: int, pairs: Sequence[int], values: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _masks_of_size(n: int, size: int) -> tuple[int, ...]:
     """The masks of the size-element subsets of n generators, in the
-    lexicographic order of :func:`relation_residuals`."""
+    lexicographic order of :func:`_residuals`."""
     return tuple(sum(1 << i for i in subset) for subset in combinations(range(n), size))
 
 
@@ -218,11 +218,14 @@ def _index_sets(n: int, size: int) -> tuple[tuple[int, ...], ...]:
 
 def pfaffian(skew: Sequence[Sequence[Rational]], indices: Sequence[int] | None = None) -> Fraction:
     """Pfaffian of a skew matrix restricted to the given 0-based indices,
-    read once from the upper triangle of the restriction."""
+    read once from the upper triangle of the restriction.  It is the last
+    entry of the integer fill of :func:`_completion`, Pf(D A), over
+    D^(k/2), with one ``Fraction`` formed."""
     idx = list(range(len(skew))) if indices is None else list(indices)
     if len(idx) % 2:
         raise ValueError("Pfaffian needs an even number of indices")
-    return completed_coords(1, _upper_pairs(skew, idx), len(idx))[-1]
+    pfs, scale, _, _ = _completion(1, _upper_pairs(skew, idx), len(idx))
+    return Fraction(pfs[-1], scale ** (len(idx) // 2))
 
 
 def spin_norm(s: SpinElement) -> Fraction:
@@ -381,26 +384,13 @@ class RelationReport:
         }
 
 
-def relation_residuals(
-    coord: Callable[[int], Fraction], n: int
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Residual a^(k-1) * a^I - Pf(A_I) for every even index set I, |I| >= 4.
-
-    ``coord`` reads the coordinates of a rank-n element by blade mask; A is
-    the skew matrix of its grade-2 coordinates.  Sets come by size, then in
-    lexicographic order.  The even coordinates are read and cleared once
-    (:func:`_residuals`).
-    """
-    evens = [mask for mask in range(1 << n) if not mask.bit_count() & 1]
-    numerators, scale = _cleared([coord(mask) for mask in evens])
-    return _residuals(zip(evens, numerators), scale, n)
-
-
 def _residuals(
     terms: Iterable[tuple[int, int]], scale: int, n: int
 ) -> list[tuple[tuple[int, ...], Fraction]]:
-    """The residuals of :func:`relation_residuals` from the integer form N of
-    an even rank-n element, (mask, numerator) pairs over the scale D.
+    """Residual a^(k-1) * a^I - Pf(A_I) for every even index set I, |I| >= 4,
+    of an even rank-n element in its integer form N, (mask, numerator) pairs
+    over the scale D; A is the skew matrix of its grade-2 coordinates.  Sets
+    come by size, then in lexicographic order.
 
     The residual of I, |I| = 2k, is (N_0^(k-1) N_I - Pf(N_A)_I) / D^k.  The
     pairs of N are those of N_A, so a copy of N filled by size holds
@@ -420,7 +410,7 @@ def _residuals(
 def check_relations(s: SpinElement) -> RelationReport:
     """Evaluate every coordinate relation instance and the norm condition.
 
-    The residuals read the element's kept integer form.  With a nonzero
+    The residuals read the element's integer form.  With a nonzero
     scalar the element is its own chart, so these residuals settle its
     Lipschitz verdict, which is kept.
     """
@@ -482,9 +472,9 @@ def reconstruct_from_low_grade(
     coordinates filled in by the Pfaffian relations.
 
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
-    meaningless otherwise.  The coordinates of :func:`completed_coords` are
-    handed to the element as one integer form: with m = max(d // 2, 1), a^I
-    for |I| = 2k is Pf(D A)_I q^k (D p)^(m-k) over q D^m p^(m-1).
+    meaningless otherwise.  The element is built from the coordinates of
+    :func:`completed_coords` as one integer form: with m = max(d // 2, 1),
+    a^I for |I| = 2k is Pf(D A)_I q^k (D p)^(m-k) over q D^m p^(m-1).
     """
     n = sig.dim
     pfs, scale, p, q = _completion(scalar, _pair_coords(skew, n), n)
@@ -517,12 +507,11 @@ def _pair_coords(
 def spin_from_vectors(vectors: Sequence[Multivector]) -> SpinElement:
     """Product of an even number of grade-1 elements, taken left to right.
 
-    Each factor is cleared once, to integer numerators over the lcm of its
+    Each factor's integer form is read, numerators over the lcm of its
     denominators.  The chain is multiplied in integers over the product of
-    those lcms, dropping the blades that cancel at each step, and handed to
-    the product as its form, which forms one ``Fraction`` per term, at the
-    end.  The terms come in the order that the same chain of ``Multivector``
-    products gives.
+    those lcms, dropping the blades that cancel at each step, and the
+    product is built from that form.  The terms come in the order that the
+    same chain of ``Multivector`` products gives.
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -548,7 +537,7 @@ def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Mu
     a random integer vector u preserves the quadratic form exactly and stays
     rational: v = e_b - 2 B(e_b,u)/B(u,u) u.  The coordinates are held as
     integer numerators over B(u,u), the norm is checked in integers, and
-    that form is handed to the vector.
+    the vector is built from that form.
     """
     sigmas = sig.sigmas()
     try:
@@ -617,25 +606,22 @@ def apply_rotation(s: SpinElement, x: Multivector) -> Multivector:
 def _rotate(s: Multivector, x: Multivector, norm: Rational) -> Multivector:
     """The vector y = s x s^-1 for a verified spin element of norm N(s) = norm.
 
-    s and x are read in their kept integer forms, S over D_s and X over D_x.  Only the
+    s and x are read in their integer forms, S over D_s and X over D_x.  Only the
     grade-1 coefficients of (s x) reverse(s) / N are read: the e_i coefficient
     Y_i pairs each term of SX = S X with the term of reverse(S), read off S
     by grade, whose blade differs from it in e_i alone, with the sign mask
     of each SX term formed once.  With N = p/q, y = q Y / (p D_s^2 D_x).  The
     exact identity s x = y s, decided in integers as q Y S = p D_s^2 SX, then
     shows that the conjugate has no other grade, and q^2 Q(Y) = p^2 D_s^4 Q(X)
-    that it keeps the form.  The integer form q Y over p D_s^2 D_x is handed
-    to y.
+    that it keeps the form.  y is built from the integer form q Y over
+    p D_s^2 D_x.
     """
     sig = s.signature
     negative = _negative_mask(sig.p, sig.q, sig.ordering)
     left, s_scale = s._cleared_terms()
     right, x_scale = x._cleared_terms()
     sx = _numerator_product(left, right, sig)
-    reverse = {}
-    for mask, v in left:
-        grade = mask.bit_count()
-        reverse[mask] = -v if (grade * (grade - 1) // 2) & 1 else v
+    reverse = {mask: -v if mask.bit_count() & 2 else v for mask, v in left}
     bits = [1 << i for i in range(sig.dim)]
     coords = [0] * sig.dim
     for mask, a in sx.items():

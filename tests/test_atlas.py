@@ -245,27 +245,38 @@ def test_quaternion_split_roundtrip_random():
 
 def test_broken_conventions_raise_invariant_violation(monkeypatch):
     sig = Signature(3, 3)
-    pair = unit_pair_for(sig)
-    with pytest.raises(InvariantViolation, match="commute with inner generators"):
+    pair = unit_pair_for(sig)  # inner generators e1..e4; phi = e12345, psi = e12346
+    with pytest.raises(InvariantViolation) as info:
         _check_pair_invariants(replace(pair, phi=pair.phi ^ 0b10))
-    with pytest.raises(InvariantViolation, match="anticommute"):
+    assert str(info.value) == (
+        "unit pair fails to commute with inner generators: e1345 e1 has sign -1, e1 e1345 has sign 1"
+    )
+    with pytest.raises(InvariantViolation) as info:
         _check_pair_invariants(replace(pair, psi=pair.phi))
+    assert str(info.value) == "unit pair fails to anticommute: phi psi = 1, psi phi = 1"
     # a split whose components leave the inner subalgebra
     wide = Signature(4, 4)
     small = unit_pair_for(wide, m=1)  # inner generators e1, e2; units on 3, 4
     stray = Multivector.generator(wide, 5)
     monkeypatch.setattr(Multivector, "inverse", lambda self: stray)
-    with pytest.raises(InvariantViolation, match="escaped the inner subalgebra"):
+    with pytest.raises(InvariantViolation) as info:
         quaternion_split(Multivector.blade(wide, small.phi), small)
+    assert str(info.value) == "split component escaped the inner subalgebra: A1 has e1235"
     monkeypatch.undo()
     # a target signature of the wrong size
     monkeypatch.setattr(spinorlab.atlas, "even_subalgebra_signature", lambda s: s)
     with pytest.raises(InvariantViolation, match="even-map images"):
         even_subalgebra_generator_images(sig)
+    # a period table whose entry misses the real dimension
+    monkeypatch.setitem(spinorlab.atlas._MOD8_TABLE, 0, ("C", 1, 0))
+    with pytest.raises(InvariantViolation) as info:
+        classify(Signature(2, 2))
+    assert str(info.value) == "dimension identity broken for Cl(2,2): real dimension 32, not 2^4 = 16"
     # products of equal blades that leave a blade behind
     monkeypatch.setattr(spinorlab.atlas, "blade_product", lambda a, b, s: (1, 1))
-    with pytest.raises(InvariantViolation, match="does not square to a scalar"):
+    with pytest.raises(InvariantViolation) as info:
         unit_pair_for(sig)
+    assert str(info.value) == "a unit of the pair does not square to a scalar: e12345 leaves e1"
     monkeypatch.setattr(spinorlab.blades, "blade_product", lambda a, b, s: (1, 1))
     with pytest.raises(InvariantViolation, match="does not square to a scalar"):
         volume_square(sig)

@@ -152,7 +152,7 @@ def test_broken_period_table_is_an_invariant_violation(monkeypatch):
     monkeypatch.setitem(spinorlab.atlas._MOD8_TABLE, 0, ("C", 1, 0))
     code, out, err = main_in_process(["classify", "--p", "2", "--q", "2"])
     assert (code, out) == (2, "")
-    assert err == "invariant violation: dimension identity broken for Cl(2,2)\n"
+    assert err == "invariant violation: dimension identity broken for Cl(2,2): real dimension 32, not 2^4 = 16\n"
 
 
 def test_kernel_rejects_off_quadric_point():
@@ -434,14 +434,14 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
     # geometry clears x, the kernel basis, y and the images once each, so a
     # motion's counts do not grow with its 2^(n-1) kernel vectors.  A
-    # multivector is cleared only when it was built from Fractions: the
+    # multivector is cleared only when it is built from Fractions: the
     # k = 1 element's unit vectors, their product, its chart and its rotated
-    # vector are handed their integer forms by the producers, and N(s), the
-    # relation verdict, the rotation and the kernel images read those.  The
-    # one slot fill is the point rotation's x.  Q is formed once per point:
+    # vector are built from their integer forms by the producers, and N(s),
+    # the relation verdict, the rotation and the kernel images read those.
+    # The one clearing is the point rotation's x.  Q is formed once per point:
     # x and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
-    # expected: calls of geometry._cleared, slot fills (blades._cleared) and quadratic_form
-    counts = {"cleared": 0, "fills": 0, "forms": 0}
+    # expected: calls of geometry._cleared, Multivector(...) clearings (blades._cleared) and quadratic_form
+    counts = {"cleared": 0, "built": 0, "forms": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -451,7 +451,7 @@ def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
         return wrapper
 
     monkeypatch.setattr(spinorlab.geometry, "_cleared", counted("cleared", spinorlab.geometry._cleared))
-    monkeypatch.setattr(spinorlab.blades, "_cleared", counted("fills", spinorlab.blades._cleared))
+    monkeypatch.setattr(spinorlab.blades, "_cleared", counted("built", spinorlab.blades._cleared))
     form = counted("forms", spinorlab.matrices.quadratic_form)
     for module in (spinorlab.cli, spinorlab.geometry, spinorlab.matrices):
         monkeypatch.setattr(module, "quadratic_form", form)

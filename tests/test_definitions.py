@@ -11,10 +11,13 @@ SOURCE = Path(spinorlab.__file__).parent
 
 def _definitions_and_references():
     """The (module, name) of every module-level def and class, and the names
-    that library code outside ``__init__`` reads: names, attributes and
-    imported names, each outside the definition it would name.  Docstrings
-    are constants, so a mention there does not count."""
+    that library code outside ``__init__`` reads: names, imported names and
+    attributes read off a library module name (``linalg.rank``), each
+    outside the definition it would name.  A method of the same name is not
+    a reference.  Docstrings are constants, so a mention there does not
+    count."""
     definitions, referenced = [], set()
+    modules = {path.stem for path in SOURCE.glob("*.py")}
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -26,7 +29,7 @@ def _definitions_and_references():
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     name = sub.id
-                elif isinstance(sub, ast.Attribute):
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
                     name = sub.attr
                 elif isinstance(sub, ast.alias):
                     name = sub.name

@@ -42,7 +42,7 @@ from spinorlab import (
 from spinorlab.geometry import _primitive, _validate_generator_geometry, _verify_spinor_matches, annihilates
 from spinorlab.geometry import generator_rows, spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
-from spinorlab.spin import _chart, relation_residuals
+from spinorlab.spin import _chart, _residuals
 
 import dense
 from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec, null_space_kernel
@@ -284,7 +284,8 @@ def _obeys_relations(a, sig, chart=True):
     """The relation test of the renamed spinor, with the renamed element built
     in sig, on its chart or on the element itself."""
     renamed = Multivector(sig, {mask | (mask.bit_count() % 2) << a.n: v for mask, v in enumerate(a.values)})
-    return all(v == 0 for _, v in relation_residuals((_chart(renamed) if chart else renamed).coefficient, a.n + 1))
+    element = _chart(renamed) if chart else renamed
+    return all(v == 0 for _, v in _residuals(*element._cleared_terms(), a.n + 1))
 
 
 def _pure_by_rank(a):

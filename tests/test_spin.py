@@ -32,7 +32,7 @@ from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
 from spinorlab.linalg import _cleared
 from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _pair_coords, _rotate, completed_coords, pfaffians
-from spinorlab.spin import random_unit_vector, relation_residuals
+from spinorlab.spin import _residuals, random_unit_vector
 
 import dense
 from dense import det, skew_table, vector_norm
@@ -806,7 +806,7 @@ def test_pfaffian_table_and_completion_are_bit_equal_to_the_fraction_oracle(tabl
 @given(even_elements())
 def test_residuals_and_norm_are_bit_equal_to_the_fraction_oracle(s):
     coord, dim = s.value.coefficient, s.signature.dim
-    residuals = relation_residuals(coord, dim)
+    residuals = _residuals(*s.value._cleared_terms(), dim)
     expected = dense.relation_residuals(coord, dim)
     assert [subset for subset, _ in residuals] == [subset for subset, _ in expected]
     assert bits(value for _, value in residuals) == bits(value for _, value in expected)
@@ -855,11 +855,9 @@ def multivectors(draw, sig, max_terms=5):
     return Multivector(sig, draw(st.dictionaries(masks, rationals, max_size=max_terms)))
 
 
-def assert_kept_form_is_the_clearing(m, handed=True):
+def assert_form_is_the_clearing(m):
     """The element's integer form is linalg._cleared of its Fraction terms,
-    bit for bit and in term order; a handed-over form is there before any
-    read."""
-    assert (m._form is not None) == handed
+    bit for bit and in term order: reduced, over a positive scale."""
     numerators, scale = _cleared([c for _, c in m.items()])
     expected = [(mask, int, v) for mask, v in zip(m.masks(), numerators)]
     pairs, kept_scale = m._cleared_terms()
@@ -867,36 +865,68 @@ def assert_kept_form_is_the_clearing(m, handed=True):
     assert (type(kept_scale), kept_scale) == (int, scale)
 
 
+def fraction_sum(*parts):
+    """The Fraction terms of a sum of term lists, in first-reached order, zeros dropped."""
+    out = {}
+    for terms in parts:
+        for mask, c in terms:
+            out[mask] = out.get(mask, 0) + c
+    return [(mask, c) for mask, c in out.items() if c]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_every_producer_keeps_the_clearing_of_its_terms(data):
     sig = data.draw(signatures())
     a, b = data.draw(multivectors(sig)), data.draw(multivectors(sig))
-    assert_kept_form_is_the_clearing(a, handed=False)
-    product = a * b
-    assert_kept_form_is_the_clearing(product)
-    assert_kept_form_is_the_clearing(a * data.draw(rationals | st.integers(-6, 6)))
-    # elements built from Fraction terms clear them on first use, never
-    # carrying over an operand's form
-    for derived in (-product, product.reverse(), product + a, a - product):
-        assert_kept_form_is_the_clearing(derived, handed=False)
+    r = data.draw((rationals | st.integers(-6, 6)).filter(bool))
+    k = data.draw(st.integers(0, sig.dim))
+    ta, tb = list(a.items()), list(b.items())
+
+    def reversion_sign(mask):
+        return (-1) ** (mask.bit_count() * (mask.bit_count() - 1) // 2)
+
+    # each operation against its Fraction terms, in term order
+    expected = {
+        "text": (Multivector.from_text(sig, a.to_text()), sorted(ta, key=lambda t: (t[0].bit_count(), t[0]))),
+        "json": (Multivector.from_json_terms(sig, a.to_json_terms()), sorted(ta)),
+        "neg": (-a, [(mask, -c) for mask, c in ta]),
+        "reverse": (a.reverse(), [(mask, c * reversion_sign(mask)) for mask, c in ta]),
+        "grade": (a.grade_projection(k), [(mask, c) for mask, c in ta if mask.bit_count() == k]),
+        "sum": (a + b, fraction_sum(ta, tb)),
+        "difference": (a - b, fraction_sum(ta, [(mask, -c) for mask, c in tb])),
+        "scaled": (a * r, [(mask, c * r) for mask, c in ta]),
+        "divided": (a / r, [(mask, c / r) for mask, c in ta]),
+    }
+    for name, (m, terms) in expected.items():
+        assert list(m.items()) == terms, name
+        assert_form_is_the_clearing(m)
+    for m in (a, b, a * b, r * a):
+        assert_form_is_the_clearing(m)
+    # equality and hashing see the reduced form exactly as the Fraction terms
+    for m, _ in expected.values():
+        for other in (a, b, a + b):
+            assert (m == other) == (dict(m.items()) == dict(other.items()))
+            assert m != other or hash(m) == hash(other)
+    for m in ((a + b) - b, a * r / r, -(-a), a.reverse().reverse()):
+        assert m == a and hash(m) == hash(a)
     table = [[Fraction(0)] * sig.dim for _ in range(sig.dim)]
     for i in range(sig.dim):
         for j in range(i + 1, sig.dim):
             v = data.draw(rationals | st.just(Fraction(0)))
             table[i][j], table[j][i] = v, -v
     completed = reconstruct_from_low_grade(data.draw(rationals.filter(bool)), table, sig)
-    assert_kept_form_is_the_clearing(completed.value)
+    assert_form_is_the_clearing(completed.value)
     if not sig.dim:
         return
     rng = random.Random(data.draw(st.integers(0, 2**16)))
     signs = [sign for sign, count in ((1, sig.p), (-1, sig.q)) if count]
     vectors = [random_unit_vector(sig, rng, data.draw(st.sampled_from(signs))) for _ in range(2)]
     for v in vectors:
-        assert_kept_form_is_the_clearing(v)
+        assert_form_is_the_clearing(v)
     free = [data.draw(st.lists(rationals, min_size=sig.dim, max_size=sig.dim)) for _ in range(2)]
     chain = spin_from_vectors(vectors + [Multivector.vector(sig, coords) for coords in free])
-    assert_kept_form_is_the_clearing(chain.value)
+    assert_form_is_the_clearing(chain.value)
     s = random_spin_element(sig, data.draw(st.integers(0, 2**16)), 1)
     x = Multivector.vector(sig, free[0])
-    assert_kept_form_is_the_clearing(_rotate(s.value, x, s.norm()))
+    assert_form_is_the_clearing(_rotate(s.value, x, s.norm()))
