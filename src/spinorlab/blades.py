@@ -180,7 +180,8 @@ def volume_square(sig: Signature) -> int:
     omega = volume_element(sig)
     sign, rest = blade_product(omega, omega, sig)
     if rest:
-        raise InvariantViolation(f"the volume element of Cl({sig.p},{sig.q}) does not square to a scalar")
+        found = f"{_blade_token(omega)} leaves {_blade_token(rest)} with sign {sign}"
+        raise InvariantViolation(f"the volume element of Cl({sig.p},{sig.q}) does not square to a scalar: {found}")
     return sign
 
 

@@ -255,7 +255,8 @@ def cmd_motion(args: argparse.Namespace) -> dict:
         if form_value == 0 and any(x):
             # s x = y s is exact and E_0 central, so Xi(y) rep(s) = rep(s) Xi(x): Xi(y) is similar to the checked Xi(x)
             mapped = spinor_images(element.value, kernel_spinors(x))
-            full_rank = linalg.rank([vec.values for vec in mapped]) == 1 << (args.n - 1)
+            rows = [[vec._numerators.get(r, 0) for r in range(1 << args.n)] for vec in mapped]  # scaled rows, same rank
+            full_rank = linalg.rank(rows) == 1 << (args.n - 1)
             verdicts["kernel_equivariance"] = full_rank and annihilates(y, *mapped)
     else:
         spinor = _parse_spinor(args.n, args.a)

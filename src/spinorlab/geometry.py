@@ -19,6 +19,8 @@ Xi(w_1)...Xi(w_n) over a basis of the plane applied to a basis spinor.  Both
 directions live here, with the motions: a spin element rotates (x^1..x^{2n})
 in the algebra with x^0 fixed, and moves a spinor by its matrix image, the
 same integer sum of signed permutations that applies Xi(x) to a spinor.
+A spinor is defined up to scale, and it is held as one representative, its
+reduced integer form: every identity on it is decided on those numerators.
 """
 
 from __future__ import annotations
@@ -84,25 +86,55 @@ class SpinorCoords:
     Index sets are subsets of {1..n} encoded as masks, listed in mask
     order.  Renaming odd-size sets S to S + {n+1} turns the list into the
     even coordinates of a rank-(n+1) algebra element; the coordinate
-    relations of spin elements are checked through that renaming.  Values
-    that are already ``Fraction`` are kept; others are converted.
+    relations of spin elements are checked through that renaming.
+
+    A spinor holds only its reduced integer form, as a ``Multivector`` does:
+    a dict of nonzero numerators by mask, in mask order, and one positive
+    scale coprime to them, which is ``linalg._cleared`` of its coordinates,
+    so equal spinors hold equal forms.  The constructor clears its values
+    once; a producer that computes in integers builds through
+    :meth:`_from_numerators`.  ``values`` and the other readers form each
+    ``Fraction`` as they read it.
     """
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "_numerators", "_scale")
 
     def __init__(self, n: int, values: Sequence[Rational]):
         if len(values) != 1 << n:
             raise ValueError(f"rank {n} spinors have {1 << n} coordinates, got {len(values)}")
+        numerators, scale = _cleared(_as_fractions(values))
         self.n = n
-        self.values = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+        self._numerators = {mask: v for mask, v in enumerate(numerators) if v}
+        self._scale = scale
 
     @classmethod
-    def _from_values(cls, n: int, values: list[Fraction]) -> "SpinorCoords":
-        """Wrap 2^n values that are ``Fraction``s by construction."""
+    def _from_numerators(cls, n: int, numerators: Iterable[tuple[int, int]], scale: int) -> "SpinorCoords":
+        """The spinor with coordinates v/scale at the masks of the (mask, v)
+        pairs, valid by construction (distinct masks below 2^n), zeros
+        dropped, scale nonzero.
+
+        The pairs are put in mask order, and the form is reduced once, by
+        the gcd of the scale and every numerator and to a positive scale,
+        which makes it the one the constructor clears.
+        """
+        kept = {mask: v for mask, v in sorted(numerators) if v}
+        g = math.gcd(scale, *kept.values())
+        if scale < 0:
+            g = -g
+        if g != 1:
+            kept = {mask: v // g for mask, v in kept.items()}
+            scale //= g
         out = cls.__new__(cls)
         out.n = n
-        out.values = values
+        out._numerators = kept
+        out._scale = scale
         return out
+
+    @property
+    def values(self) -> list[Fraction]:
+        """The 2^n coordinates in mask order, formed from the integer form."""
+        numerators, scale = self._numerators, self._scale
+        return [Fraction(numerators[mask], scale) if mask in numerators else _ZERO for mask in range(1 << self.n)]
 
     @classmethod
     def from_low_grade(
@@ -126,13 +158,14 @@ class SpinorCoords:
         return cls(n, [completed[_renamed(mask, n)] for mask in range(1 << n)])
 
     def coefficient(self, mask: int) -> Fraction:
-        return self.values[mask]
+        v = self._numerators.get(mask)
+        return Fraction(v, self._scale) if v else _ZERO
 
     def scalar_coord(self) -> Fraction:
-        return self.values[0]
+        return self.coefficient(0)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not self._numerators
 
     def relation_residuals(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Residuals of the coordinate relations of the renamed element's
@@ -153,9 +186,8 @@ class SpinorCoords:
         itself.
         """
         n = self.n
-        numerators, scale = _cleared(self.values)
-        terms = [(_renamed(mask, n), v) for mask, v in enumerate(numerators)]
-        return _chart(Multivector._from_numerators(Signature(n + 1, 0), terms, scale))
+        terms = [(_renamed(mask, n), v) for mask, v in self._numerators.items()]
+        return _chart(Multivector._from_numerators(Signature(n + 1, 0), terms, self._scale))
 
     @staticmethod
     def coordinate_name(mask: int) -> str:
@@ -173,7 +205,7 @@ class SpinorCoords:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorCoords):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        return (self.n, self._scale, self._numerators) == (other.n, other._scale, other._numerators)
 
     def __repr__(self) -> str:
         return f"SpinorCoords(n={self.n}, {[str(v) for v in self.values]})"
@@ -195,8 +227,8 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     from the columns of Xi', for alpha = beta = 0 as the rank n-1 basis
     twice, and for beta = 0 != alpha as each rank n-1 basis vector k, first
     as (k, 0) and then as (u, k) with Xi' u = alpha k (the unit vectors of
-    the top half when Xi' = 0).  It forms one ``Fraction`` per distinct
-    nonzero entry.
+    the top half when Xi' = 0).  Each basis vector is wrapped in its
+    integer form, and none forms a ``Fraction``.
     """
     coords = _as_fractions(x)
     if not any(coords):
@@ -207,18 +239,7 @@ def kernel_spinors(x: Coords) -> list[SpinorCoords]:
     basis = _echelon_kernel(n, _cleared(_check_coords(n, coords))[0])
     if len(basis) != 1 << (n - 1):
         raise InvariantViolation(f"kernel dimension {len(basis)} differs from 2^(n-1) = {1 << (n - 1)}")
-    size = 1 << n
-    fractions: dict[tuple[int, int], Fraction] = {}
-    out = []
-    for _, numerators, denominator in basis:
-        values = [_ZERO] * size
-        for r, value in numerators.items():
-            entry = fractions.get((value, denominator))
-            if entry is None:
-                entry = fractions[value, denominator] = Fraction(value, denominator)
-            values[r] = entry
-        out.append(SpinorCoords._from_values(n, values))
-    return out
+    return [SpinorCoords._from_numerators(n, numerators.items(), denominator) for _, numerators, denominator in basis]
 
 
 def _echelon_kernel(n: int, c: Sequence[int]) -> list[tuple[int, dict[int, int], int]]:
@@ -332,7 +353,7 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
         bad = next(idx for idx, val in a.relation_residuals() if val != 0)
         if a.scalar_coord():
             raise ValueError(f"coordinate relations fail, first residual at {bad}")
-        low = min(_renamed(mask, a.n) for mask, value in enumerate(a.values) if value)
+        low = min(_renamed(mask, a.n) for mask in a._numerators)
         blade = "e" + "".join(map(str, blade_indices(low)))
         raise ValueError(
             f"spinor is not pure: its chart at the blade {blade} fails the coordinate relations, "
@@ -391,7 +412,7 @@ def reduction_identities(a: SpinorCoords, b: Sequence[Rational]) -> ReductionRep
     bv = [Fraction(v) for v in b]
 
     def av(indices: Iterable[int]) -> Fraction:
-        return a.values[mask_from_indices(indices)]
+        return a.coefficient(mask_from_indices(indices))
 
     def bvx(indices: Iterable[int]) -> Fraction:
         return bv[mask_from_indices(indices)]
@@ -414,12 +435,13 @@ def reduction_identities(a: SpinorCoords, b: Sequence[Rational]) -> ReductionRep
     return ReductionReport(tuple(pair), tuple(triple), tuple(condition))
 
 
-def _validate_generator_geometry(g: PlaneGenerator) -> None:
+def _validate_generator_geometry(g: PlaneGenerator) -> list[list[int]]:
     """The basis points lie on the absolute and span a totally isotropic plane.
 
     One integer Gram pass of the alternating form B(u, v) = u^0 v^0 - u^1 v^1
     + ... over the basis rows, each cleared to integers: the diagonal first,
-    then the pairs.  With every B(u, u) = 0, Q(u + v) = 2 B(u, v).
+    then the pairs.  With every B(u, u) = 0, Q(u + v) = 2 B(u, v).  Returns
+    the cleared rows, the one clearing of the basis.
     """
     if not g.basis:
         raise ValueError("generator has an empty solution basis")
@@ -436,6 +458,7 @@ def _validate_generator_geometry(g: PlaneGenerator) -> None:
         raise ValueError("generator basis leaves the absolute quadric")
     if any(form(u, v) for u, v in combinations(rows, 2)):
         raise ValueError("generator span is not totally isotropic")
+    return rows
 
 
 def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
@@ -454,48 +477,56 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
     when each vanishes on each basis point and they have rank n+1, both
     decided in integers.
 
-    Two representatives: when the stored equations are the canonical rows
-    b, b^1..b^n, the scalar coordinate is nonzero and the rows are lambda
-    times the product's, the stored representative lambda * product is
-    returned; otherwise (a zero scalar coordinate, or other rows) the
-    primitive integer representative, after the equations are checked
-    against the plane.
+    Two representatives, both read off the product's integer vector: when
+    the stored equations are the canonical rows b, b^1..b^n, the scalar
+    coordinate is nonzero and the rows are lambda times the product's, the
+    stored representative lambda * product is returned; otherwise (a zero
+    scalar coordinate, or other rows) the primitive integer representative,
+    with its first nonzero positive, after the equations are checked
+    against the plane.  The basis is cleared once, by the Gram pass, and its
+    integer rows feed the product and both checks.
     """
-    _validate_generator_geometry(g)
+    points = _validate_generator_geometry(g)
     n = g.n
-    product = _pure_spinor(n, g.basis)
-    spinor = SpinorCoords(n, product)
-    _verify_spinor_matches(spinor, g)
-    if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and product[0] and len(g.equations) == n + 1:
+    product = _pure_spinor(n, points)
+    spinor = SpinorCoords._from_numerators(n, product.items(), 1)
+    _verify_spinor_matches(spinor, g, points)
+    if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and 0 in product and len(g.equations) == n + 1:
         rows = generator_rows(spinor)
         scale = g.equations[0][0] / rows[0][0]
         if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
-            return SpinorCoords(n, [scale * v for v in product])
+            return SpinorCoords._from_numerators(
+                n, [(mask, v * scale.numerator) for mask, v in product.items()], scale.denominator
+            )
     equations = [_cleared(row)[0] for row in g.equations]
-    points = [_cleared(point)[0] for point in g.basis]
     if any(sum(map(mul, row, point)) for row in equations for point in points) or linalg.rank(equations) != n + 1:
         raise ValueError("inconsistent system: plane differs from the spinor's generator")
-    return SpinorCoords(n, _primitive(product))
+    # over scale -1 when the first nonzero is negative: the reduction moves the sign onto the numerators
+    sign = -1 if product[min(product)] < 0 else 1
+    return SpinorCoords._from_numerators(n, zip(product, linalg._primitive(list(product.values()))), sign)
 
 
-def _pure_spinor(n: int, basis: Sequence[Coords]) -> list[int]:
-    """Xi(w_1)...Xi(w_n) e_M in integers, over independent points w_i spanning
-    the basis, each scaled by the lcm of its denominators.
+def _pure_spinor(n: int, points: Sequence[Sequence[int]]) -> dict[int, int]:
+    """Xi(w_1)...Xi(w_n) e_M in integers, as a sparse vector by mask, over n
+    independent integer points w_i spanning the given points: the pivot rows
+    of their forward-only integer elimination.
 
     The Xi(w_i) anticommute and square to zero on a totally isotropic plane,
     so every column of the product is killed by each of them; it is nonzero
-    exactly when the plane has dimension n, which pins the spinor ray.
+    exactly when the plane has dimension n, which pins the spinor ray.  The
+    product is alternating in the w_i, so another basis of the same plane
+    only scales it.
     """
-    points, pivots = linalg.rref(basis)
+    rows, pivots = _eliminate(points, reduced=False)
     if len(pivots) == n:
         images = point_blade_images(n)
-        factors = [list(zip(images, _cleared(point)[0])) for point in reversed(points[:n])]
+        factors = [list(zip(images, row)) for row in reversed(rows[:n])]
         for mask in range(1 << n):
             vector = {mask: 1}
             for factor in factors:
                 vector = _signed_sum(factor, vector)
             if vector:
-                return [vector.get(r, 0) for r in range(1 << n)]
+                return vector
     raise ValueError("plane does not determine a unique spinor ray")
 
 
@@ -503,57 +534,36 @@ def spinor_images(m: Multivector, spinors: Sequence[SpinorCoords]) -> list[Spino
     """rep(m) a for each spinor a, with m in the interleaved (n,n) algebra of
     the spinors' rank n, bit-equal to the dense rep_multivector(m, n) times a.
 
-    m is read in its integer form and all the spinors are cleared together
-    once, so a whole kernel basis is mapped on one clearing; every image
-    forms one ``Fraction`` per coordinate.
+    m and each spinor are read in their integer forms, and each image is
+    wrapped in its own, over the product of the two scales.
     """
     n = spinors[0].n
     if m.signature != neutral_signature(n):
         raise ValueError(f"element must live in the interleaved ({n},{n}) algebra")
     terms, m_scale = m._cleared_terms()
     images = [(blade_image(n, mask), c) for mask, c in terms]
-    values, a_scale = _cleared([v for a in spinors for v in a.values])
-    size, scale = 1 << n, m_scale * a_scale
-    out = []
-    for start in range(0, len(values), size):
-        image = _signed_sum(images, {j: v for j, v in enumerate(values[start : start + size]) if v})
-        out.append(SpinorCoords._from_values(n, [Fraction(image.get(r, 0), scale) for r in range(size)]))
-    return out
+    return [
+        SpinorCoords._from_numerators(n, _signed_sum(images, a._numerators).items(), m_scale * a._scale)
+        for a in spinors
+    ]
 
 
 def annihilates(x: Coords, *spinors: SpinorCoords) -> bool:
     """Whether Xi(x) a = 0 for every given spinor a, decided on integer
-    multiples: x is cleared once and all the spinors together once."""
-    size = 1 << (len(x) // 2)
+    multiples: x is cleared once, and each spinor is read in its form."""
     point = list(zip(point_blade_images(len(x) // 2), _cleared(x)[0]))
-    values = _cleared([v for a in spinors for v in a.values])[0]
-    return not any(
-        _signed_sum(point, {j: c for j, c in enumerate(values[start : start + size]) if c})
-        for start in range(0, len(values), size)
-    )
+    return not any(_signed_sum(point, a._numerators) for a in spinors)
 
 
-def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator) -> None:
-    """Xi(w) a = 0 for every basis point w, on one clearing of a."""
+def _verify_spinor_matches(a: SpinorCoords, g: PlaneGenerator, points: Sequence[Sequence[int]]) -> None:
+    """Xi(w) a = 0 for every basis point w, given as the basis's cleared
+    integer rows, on the integer form of a; a failure names the point."""
     images = point_blade_images(g.n)
-    vector = {j: c for j, c in enumerate(_cleared(a.values)[0]) if c}
-    for point in g.basis:
-        if _signed_sum(zip(images, _cleared(point)[0]), vector):
+    for point, row in zip(g.basis, points):
+        if _signed_sum(zip(images, row), a._numerators):
             raise InvariantViolation(
                 f"spinor does not annihilate the generator point ({', '.join(map(str, point))})"
             )
-
-
-def _primitive(vector: Sequence[Fraction]) -> list[Fraction]:
-    """Clear denominators, divide by the gcd, make the first nonzero positive."""
-    ints = _cleared(vector)[0]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
 
 
 @dataclass(frozen=True)
@@ -576,16 +586,18 @@ class NormalizeResult:
 
 
 def normalize(a: SpinorCoords) -> NormalizeResult:
-    total = sum(v * v for v in a.values)
+    """Scale a = N/D to unit square-sum, in integers: the square-sum is
+    sum N^2 / D^2, a rational square exactly when sum N^2 is a perfect
+    square, and then the scaled spinor is N / sqrt(sum N^2)."""
+    total = sum(v * v for v in a._numerators.values())
     if total == 0:
         raise ValueError("cannot normalize the zero spinor")
-    num_root = math.isqrt(total.numerator)
-    den_root = math.isqrt(total.denominator)
-    if num_root * num_root == total.numerator and den_root * den_root == total.denominator:
-        root = Fraction(num_root, den_root)
-        scaled = SpinorCoords(a.n, [v / root for v in a.values])
-        return NormalizeResult(spinor=scaled, scale_sq=total, exact=True)
-    return NormalizeResult(spinor=a, scale_sq=total, exact=False)
+    scale_sq = Fraction(total, a._scale * a._scale)
+    root = math.isqrt(total)
+    if root * root == total:
+        scaled = SpinorCoords._from_numerators(a.n, a._numerators.items(), root)
+        return NormalizeResult(spinor=scaled, scale_sq=scale_sq, exact=True)
+    return NormalizeResult(spinor=a, scale_sq=scale_sq, exact=False)
 
 
 def motion_on_points(s: SpinElement, x: Coords) -> list[Fraction]:

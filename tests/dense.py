@@ -43,7 +43,11 @@ replaced; the first two pin the seeded elements item for item, in order.
 
 The generator round trip checks a plane's stored equations by one integer
 product with its basis and one rank.  Re-deriving the spinor's system and
-comparing row spaces by three ranks is the route it replaced.
+comparing row spaces by three ranks is the route it replaced.  A spinor is
+held as its reduced integer form, and the primitive representative is read
+off the product's numerators.  ``primitive``, which clears a ``Fraction``
+vector, divides by the gcd and makes the first nonzero positive, is the
+route that read-off replaced.
 
 A rotation reads y off the integer product of the cleared s and x and
 decides s x = y s and (y,y) = (x,x) in integers.  The read-off over two
@@ -60,13 +64,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 from spinorlab import linalg
 from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
-from spinorlab.geometry import SpinorCoords, _primitive, _pure_spinor, generator_rows, independent_system, kernel_spinors
+from spinorlab.geometry import SpinorCoords, _pure_spinor, generator_rows, independent_system, kernel_spinors
 from spinorlab.matrices import point_blade_images, quadratic_form, rep_multivector
 from spinorlab.poly import Poly
 
@@ -228,12 +232,25 @@ def same_row_space(a, b):
     return linalg.rank(list(a) + list(b)) == ra
 
 
+def primitive(vector):
+    """Clear denominators, divide by the gcd, make the first nonzero positive."""
+    ints = linalg._cleared([Fraction(v) for v in vector])[0]
+    g = gcd(*ints)
+    if g:
+        ints = [v // g for v in ints]
+    lead = next((v for v in ints if v), 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return [Fraction(v) for v in ints]
+
+
 def system_generator_to_spinor(g):
     """The round trip's check of a generator's stored equations, by the route
     it replaced: the primitive Chevalley product's system re-derived by
     ``independent_system`` and compared with the stored rows by row space.
     The caller has validated the basis."""
-    spinor = SpinorCoords(g.n, _primitive(_pure_spinor(g.n, g.basis)))
+    product = _pure_spinor(g.n, g.basis)
+    spinor = SpinorCoords(g.n, primitive([product.get(mask, 0) for mask in range(1 << g.n)]))
     if not same_row_space([list(r) for r in independent_system(spinor).equations], [list(r) for r in g.equations]):
         raise ValueError("inconsistent system: plane differs from the spinor's generator")
     return spinor

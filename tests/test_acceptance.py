@@ -31,10 +31,10 @@ from spinorlab import (
     spin_norm,
 )
 from spinorlab.atlas import factorization_class, karoubi_factorization, verify_even_subalgebra_map
-from spinorlab.geometry import _primitive, generator_rows
+from spinorlab.geometry import generator_rows
 from spinorlab.poly import Poly
 
-from dense import dense_kernel_equivariance, mat_eq, mat_mul
+from dense import dense_kernel_equivariance, mat_eq, mat_mul, primitive
 from polyparts import coefficient_of_var, divide_by_var, without_var
 
 
@@ -294,8 +294,8 @@ def test_criterion_6_two_valued_correspondence():
             a = _orthogonal_pair_spinor(n, rng)
             g = independent_system(a)
             recovered = generator_to_spinor(g)
-            prim_in = _primitive(a.values)
-            prim_out = _primitive(recovered.values)
+            prim_in = primitive(a.values)
+            prim_out = primitive(recovered.values)
             assert prim_out == prim_in  # equal rays; sign fixed by the primitive form
     top2 = SpinorCoords(2, [0, 0, 0, 1])
     assert generator_to_spinor(independent_system(top2)).values == [

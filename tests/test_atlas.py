@@ -278,8 +278,9 @@ def test_broken_conventions_raise_invariant_violation(monkeypatch):
         unit_pair_for(sig)
     assert str(info.value) == "a unit of the pair does not square to a scalar: e12345 leaves e1"
     monkeypatch.setattr(spinorlab.blades, "blade_product", lambda a, b, s: (1, 1))
-    with pytest.raises(InvariantViolation, match="does not square to a scalar"):
+    with pytest.raises(InvariantViolation) as info:
         volume_square(sig)
+    assert str(info.value) == "the volume element of Cl(3,3) does not square to a scalar: e123456 leaves e1 with sign 1"
 
 
 def test_quaternion_split_rejects_outside_blades():

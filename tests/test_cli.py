@@ -424,22 +424,25 @@ def test_norm_reads_per_command(monkeypatch, argv, reads):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (4, 1, 3)),
-        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (4, 1, 3)),
-        (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (3, 0, 1)),
+        (["motion", "--n", "3", "--seed", "5", "--x", "0,1,1,0,0,0,0"], (2, 1, 3)),
+        (["motion", "--n", "4", "--seed", "5", "--x", "0,1,1,0,0,2,2,0,0"], (2, 1, 3)),
+        (["kernel", "--n", "2", "--x", "0,1,1,0,0"], (2, 0, 1)),
         (["xi", "--n", "2", "--x", "1,2,3,4,5"], (0, 0, 1)),
     ],
     ids=["motion_n3", "motion_n4", "kernel", "xi"],
 )
 def test_clearings_and_forms_per_command(monkeypatch, argv, expected):
-    # geometry clears x, the kernel basis, y and the images once each, so a
-    # motion's counts do not grow with its 2^(n-1) kernel vectors.  A
-    # multivector is cleared only when it is built from Fractions: the
-    # k = 1 element's unit vectors, their product, its chart and its rotated
-    # vector are built from their integer forms by the producers, and N(s),
-    # the relation verdict, the rotation and the kernel images read those.
-    # The one clearing is the point rotation's x.  Q is formed once per point:
-    # x and y, and once more by kernel_spinors, which decides Q(x) = 0 itself.
+    # geometry clears no spinor: the kernel basis and its images are built in
+    # their integer forms, which annihilates reads.  It clears a point once
+    # per call, x in kernel_spinors and the point of annihilates (y for a
+    # motion, x again for kernel), so a motion's counts do not grow with its
+    # 2^(n-1) kernel vectors.  A multivector is cleared only when it is built
+    # from Fractions: the k = 1 element's unit vectors, their product, its
+    # chart and its rotated vector are built from their integer forms by the
+    # producers, and N(s), the relation verdict, the rotation and the kernel
+    # images read those.  The one clearing is the point rotation's x.  Q is
+    # formed once per point, x and y, and once more by kernel_spinors, which
+    # decides Q(x) = 0 itself.
     # expected: calls of geometry._cleared, Multivector(...) clearings (blades._cleared) and quadratic_form
     counts = {"cleared": 0, "built": 0, "forms": 0}
 

@@ -39,13 +39,14 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _primitive, _validate_generator_geometry, _verify_spinor_matches, annihilates
+from spinorlab.geometry import _validate_generator_geometry, _verify_spinor_matches, annihilates
 from spinorlab.geometry import generator_rows, spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 from spinorlab.spin import _chart, _residuals
 
 import dense
 from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec, null_space_kernel
+from dense import primitive
 
 
 def frac(values):
@@ -462,7 +463,7 @@ def test_read_off_rejects_any_changed_canonical_entry(n):
                     changed[k] = row[:i] + (row[i] + delta,) + row[i + 1 :]
                     changed_g = replace(g, equations=tuple(changed))
                     if all(point[i] == 0 for point in g.basis):
-                        assert generator_to_spinor(changed_g).values == _primitive(a.values)
+                        assert generator_to_spinor(changed_g).values == primitive(a.values)
                     else:
                         with pytest.raises(ValueError):
                             generator_to_spinor(changed_g)
@@ -471,7 +472,7 @@ def test_read_off_rejects_any_changed_canonical_entry(n):
 def test_read_off_check_names_the_point():
     g = independent_system(SpinorCoords(2, [1, 0, 0, 0]))
     with pytest.raises(InvariantViolation, match=re.escape("generator point (0, 1, 1, 0, 0)")):
-        _verify_spinor_matches(SpinorCoords(2, [1, 0, 0, 1]), g)
+        _verify_spinor_matches(SpinorCoords(2, [1, 0, 0, 1]), g, _validate_generator_geometry(g))
 
 
 def test_roundtrip_worked_line():
@@ -599,15 +600,15 @@ def test_no_third_representative():
             g = independent_system(a)
             kernel = stacked_kernel(g.basis)
             assert len(kernel) == 1
-            assert _primitive(kernel[0]) == _primitive(a.values)
-            assert _primitive(generator_to_spinor(g).values) == _primitive(kernel[0])
+            assert primitive(kernel[0]) == primitive(a.values)
+            assert primitive(generator_to_spinor(g).values) == primitive(kernel[0])
         for _ in range(4):
             basis = cayley_plane(n, rng)
             assert all(quadratic_form(point) == 0 for point in basis)
             kernel = stacked_kernel(basis)
             assert len(kernel) == 1 and kernel[0][0] == 0
             g = replace(independent_system(SpinorCoords(n, kernel[0])), basis=tuple(basis))
-            assert _primitive(generator_to_spinor(g).values) == _primitive(kernel[0])
+            assert primitive(generator_to_spinor(g).values) == primitive(kernel[0])
 
 
 def dense_zero_scalar_spinor(n, rng):
@@ -633,7 +634,7 @@ def test_generator_to_spinor_at_max_rank_within_budget():
     started = time.perf_counter()
     recovered = [generator_to_spinor(g) for g in generators]
     assert time.perf_counter() - started < 2.0
-    assert [r.values for r in recovered] == [_primitive(a.values) for a in spinors]
+    assert [r.values for r in recovered] == [primitive(a.values) for a in spinors]
 
 
 def test_generator_to_spinor_rejects_partial_and_mismatched_planes():
@@ -712,10 +713,11 @@ def test_equation_check_agrees_with_the_rederived_system(n):
 def test_round_trip_checks_the_product_against_the_plane(monkeypatch):
     # a product that does not kill the plane is a broken convention, named by
     # its first point, on the canonical and on the zero-scalar branch
-    for a, product in ((SpinorCoords(2, [1, 0, 0, 0]), [1, 0, 0, 1]), (SpinorCoords(2, [0, 0, 0, 5]), [1, 0, 0, 0])):
+    for a, product in ((SpinorCoords(2, [1, 0, 0, 0]), {0: 1, 3: 1}), (SpinorCoords(2, [0, 0, 0, 5]), {0: 1})):
         g = independent_system(a)
-        point = next(p for p in g.basis if not annihilates(list(p), SpinorCoords(2, product)))
-        monkeypatch.setattr(spinorlab.geometry, "_pure_spinor", lambda n, basis: list(product))
+        dense_product = [product.get(mask, 0) for mask in range(4)]
+        point = next(p for p in g.basis if not annihilates(list(p), SpinorCoords(2, dense_product)))
+        monkeypatch.setattr(spinorlab.geometry, "_pure_spinor", lambda n, points: dict(product))
         with pytest.raises(InvariantViolation, match=re.escape(f"generator point ({', '.join(map(str, point))})")):
             generator_to_spinor(g)
 
@@ -735,9 +737,9 @@ def test_generator_dimension_violation_names_both_dimensions(monkeypatch):
 
 
 def test_primitive_vector():
-    assert _primitive(frac([Fraction(1, 2), Fraction(-3, 2)])) == frac([1, -3])
-    assert _primitive(frac([-2, 4])) == frac([1, -2])
-    assert _primitive(frac([0, Fraction(5, 3)])) == frac([0, 1])
+    assert primitive(frac([Fraction(1, 2), Fraction(-3, 2)])) == frac([1, -3])
+    assert primitive(frac([-2, 4])) == frac([1, -2])
+    assert primitive(frac([0, Fraction(5, 3)])) == frac([0, 1])
 
 
 # -- normalization -----------------------------------------------------------------
@@ -900,7 +902,7 @@ def bits(values):
 def test_spinor_image_is_bit_equal_to_the_dense_image(data):
     """rep(m) a by the signed-permutation sum, against the dense image times a
     ``Fraction`` vector: elements of every grade, zero coordinates and the
-    zero spinor, at n = 1..6, three spinors mapped on one clearing."""
+    zero spinor, at n = 1..6, three spinors mapped in one call."""
     n = data.draw(st.integers(1, 6))
     masks = st.integers(0, (1 << (2 * n)) - 1)
     m = Multivector(neutral_signature(n), data.draw(st.dictionaries(masks, rationals, max_size=12)))
@@ -921,6 +923,64 @@ def test_spinor_image_rejects_what_the_dense_image_rejects(sig):
         rep_multivector(m, 2)
     with pytest.raises(ValueError, match=re.escape(str(dense_error.value))):
         spinor_images(m, [a])
+
+
+def assert_form_is_the_clearing(a):
+    """The spinor's integer form is linalg._cleared of its values, bit for
+    bit: zeros dropped, in mask order, reduced, over a positive scale."""
+    numerators, scale = linalg._cleared(a.values)
+    expected = [(mask, int, v) for mask, v in enumerate(numerators) if v]
+    assert [(mask, type(v), v) for mask, v in a._numerators.items()] == expected
+    assert (type(a._scale), a._scale) == (int, scale)
+
+
+def pythagorean_spinor(n, rng):
+    """A nonzero spinor whose square-sum is a rational square: with u
+    integers and u1 != 0, (u1^2 - u2^2 - ..., 2 u1 u2, 2 u1 u3, ...) has norm
+    u1^2 + u2^2 + ..., scaled by a rational and placed at random masks."""
+    u = [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(rng.randrange(1 << n))]
+    entries = [u[0] ** 2 - sum(v * v for v in u[1:])] + [2 * u[0] * v for v in u[1:]]
+    r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+    masks = rng.sample(range(1 << n), len(entries))
+    values = [Fraction(0)] * (1 << n)
+    for mask, entry in zip(masks, entries):
+        values[mask] = r * entry
+    return SpinorCoords(n, values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_spinor_producer_keeps_the_clearing_of_its_values(data):
+    n = data.draw(st.integers(1, 5))
+    size = 1 << n
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    a = SpinorCoords(n, data.draw(st.lists(rationals, min_size=size, max_size=size)))
+    relation = random_relation_spinor(n, rng)
+    zero_scalar = dense_zero_scalar_spinor(n, rng)
+    x = draw_absolute_point(data, n)
+    s = random_spin_element(neutral_signature(n), data.draw(st.integers(0, 2**16)), 1, norm_plus=True)
+    produced = {
+        "constructor": [a, SpinorCoords(n, [0] * size), relation, zero_scalar],
+        "halved": [SpinorCoords(n, [v / 2 for v in a.values])],
+        "from_json": [SpinorCoords.from_json(n, a.to_json())],
+        "kernel": kernel_spinors(x) if any(x) else [],
+        "images": spinor_images(s.value, [a, relation]),
+        "motion": [motion_on_spinors(s, relation)],
+        "canonical": [generator_to_spinor(independent_system(relation))],
+        "fallback": [generator_to_spinor(independent_system(zero_scalar))],
+        "normalize": [normalize(pythagorean_spinor(n, rng)).spinor, normalize(a).spinor if any(a.values) else a],
+    }
+    assert produced["canonical"] == [relation]
+    assert primitive(produced["fallback"][0].values) == produced["fallback"][0].values
+    assert normalize(produced["normalize"][0]).exact
+    spinors = [spinor for group in produced.values() for spinor in group]
+    for spinor in spinors:
+        assert_form_is_the_clearing(spinor)
+    # equality sees the reduced form exactly as the values
+    values = [spinor.values for spinor in spinors]
+    for (left, left_values), (right, right_values) in itertools.combinations(zip(spinors, values), 2):
+        assert (left == right) == (left_values == right_values)
+    assert SpinorCoords(n, a.values) == a and produced["from_json"][0] == a
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -988,7 +1048,7 @@ def test_equivariance_square_commutes(n):
             image_points, [list(p) for p in moved_generator.basis]
         )
         recovered = generator_to_spinor(moved_generator)
-        assert _primitive(recovered.values) == _primitive(moved_spinor.values)
+        assert primitive(recovered.values) == primitive(moved_spinor.values)
 
 
 def test_generator_json_shape():
