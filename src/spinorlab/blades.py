@@ -25,11 +25,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InvariantViolation
-from .linalg import _cleared, solve_unique
+from .linalg import _cleared, _reduced, solve_unique
 
 Rational = Union[int, Fraction]
 
@@ -220,21 +220,12 @@ class Multivector:
         """The element sum v/scale e_mask over (mask, v) pairs valid by
         construction (distinct masks in range), zeros dropped, scale nonzero.
 
-        The form is reduced once, by the gcd of the scale and every
-        numerator and to a positive scale, which makes it the one
-        ``linalg._cleared`` gives of the coefficients.
+        The form is reduced once, by ``linalg._reduced``, which makes it the
+        one ``linalg._cleared`` gives of the coefficients.
         """
-        numerators = {mask: v for mask, v in terms if v}
-        g = gcd(scale, *numerators.values())
-        if scale < 0:
-            g = -g
-        if g != 1:
-            numerators = {mask: v // g for mask, v in numerators.items()}
-            scale //= g
         out = cls.__new__(cls)
         out.signature = signature
-        out._numerators = numerators
-        out._scale = scale
+        out._numerators, out._scale = _reduced({mask: v for mask, v in terms if v}, scale)
         return out
 
     def _cleared_terms(self) -> tuple[Iterable[tuple[int, int]], int]:

@@ -309,44 +309,41 @@ def _parallel(u: list[Fraction], v: list[Fraction]) -> bool:
 
 
 def _render(report: dict, args: argparse.Namespace) -> str:
-    converted = _convert(report, args.mode, args.tol)
+    """The report as text in one pass: the JSON encoder, or the flattening
+    of CSV and pretty output, turns each exact leaf into text, or into a
+    float under --mode float, as it reaches it."""
+
+    def leaf(value):
+        if not isinstance(value, Fraction):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if args.mode == "exact":
+            return str(value)
+        try:
+            approx = float(value)
+        except OverflowError:
+            raise ValueError("a value exceeds the float range; use --mode exact") from None
+        return 0.0 if abs(approx) < args.tol else approx
+
     if args.format == "json":
-        return json.dumps(converted, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, default=leaf) + "\n"
     if args.format == "csv":
         lines = ["key,value"]
-        for key, value in _flatten(converted):
+        for key, value in _flatten(report, leaf):
             lines.append(f"{key},{value}")
         return "\n".join(lines) + "\n"
-    lines = [f"{key}: {value}" for key, value in _flatten(converted)]
+    lines = [f"{key}: {value}" for key, value in _flatten(report, leaf)]
     return "\n".join(lines) + "\n"
 
 
-def _convert(value, mode: str, tol: float):
-    """Turn the exact leaves of a report into text, or floats in float mode."""
-    if isinstance(value, Fraction):
-        if mode == "float":
-            try:
-                approx = float(value)
-            except OverflowError:
-                raise ValueError("a value exceeds the float range; use --mode exact") from None
-            return 0.0 if abs(approx) < tol else approx
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _convert(v, mode, tol) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_convert(v, mode, tol) for v in value]
-    return value
-
-
-def _flatten(value, prefix: str = ""):
+def _flatten(value, leaf, prefix: str = ""):
     if isinstance(value, dict):
         for key in sorted(value):
-            yield from _flatten(value[key], f"{prefix}{key}.")
-    elif isinstance(value, list):
+            yield from _flatten(value[key], leaf, f"{prefix}{key}.")
+    elif isinstance(value, (list, tuple)):
         for idx, item in enumerate(value):
-            yield from _flatten(item, f"{prefix}{idx}.")
+            yield from _flatten(item, leaf, f"{prefix}{idx}.")
     else:
-        text = str(value)
+        text = str(leaf(value) if isinstance(value, Fraction) else value)
         if "," in text:
             text = '"' + text.replace('"', '""') + '"'
         yield prefix.rstrip("."), text

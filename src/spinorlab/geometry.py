@@ -6,8 +6,9 @@ Xi(x) squares to zero, so it kills a 2^(n-1)-dimensional space of real
 spinors, whose reduced-echelon basis is read off the block recursion
 Xi = [[-Xi', alpha I], [beta I, Xi']] in integers, with no elimination.
 Conversely a pure spinor a cuts the plane generator
-{x : Xi(x) a = 0} out of the absolute: of its 2^n linear equations only n+1
-are independent, and the solution set is a maximal isotropic subspace of
+{x : Xi(x) a = 0} out of the absolute: of its 2^n linear equations, read in
+integers off the columns E_i N of the numerators N of a, only n+1 are
+independent, and the solution set is a maximal isotropic subspace of
 projective dimension n-1.  Purity is decided by the one chart-and-relations
 test of the spin module: renaming odd-index coordinates a^{i1..ik} to
 a^{i1..ik,n+1} makes a an even element of rank n+1, whose chart must obey
@@ -34,14 +35,13 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
-from .blades import _ZERO, Multivector, Rational, Signature, blade_indices, mask_from_indices
+from .blades import _ZERO, Multivector, Rational, Signature, _blade_token, blade_indices, mask_from_indices
 from .errors import InvariantViolation
-from .linalg import _cleared, _eliminate
+from .linalg import _cleared, _eliminate, _reduced
 from .matrices import (
     _as_fractions,
     _check_coords,
     _integer_columns,
-    _point_rows,
     _signed_sum,
     blade_image,
     build_xi,  # noqa: F401  no caller here; the benchmark's tracer test wraps this by-name binding
@@ -49,7 +49,7 @@ from .matrices import (
     point_blade_images,
     quadratic_form,
 )
-from .spin import SpinElement, _chart, _obeys_relations, _pair_coords, _residuals, _rotate, completed_coords
+from .spin import SpinElement, _chart, _completed_form, _obeys_relations, _pair_coords, _residuals, _rotate
 from .spin import is_spin_plus
 
 Coords = Sequence[Rational]
@@ -114,20 +114,11 @@ class SpinorCoords:
         dropped, scale nonzero.
 
         The pairs are put in mask order, and the form is reduced once, by
-        the gcd of the scale and every numerator and to a positive scale,
-        which makes it the one the constructor clears.
+        ``linalg._reduced``, which makes it the one the constructor clears.
         """
-        kept = {mask: v for mask, v in sorted(numerators) if v}
-        g = math.gcd(scale, *kept.values())
-        if scale < 0:
-            g = -g
-        if g != 1:
-            kept = {mask: v // g for mask, v in kept.items()}
-            scale //= g
         out = cls.__new__(cls)
         out.n = n
-        out._numerators = kept
-        out._scale = scale
+        out._numerators, out._scale = _reduced({mask: v for mask, v in sorted(numerators) if v}, scale)
         return out
 
     @property
@@ -148,14 +139,15 @@ class SpinorCoords:
 
         The completion is the Pfaffian one, applied after the renaming, so
         the scalar must be nonzero: each a^i is the renamed pair {i, n+1},
-        at the mask of i with bit n set.
+        at the mask of i with bit n set.  The spinor reads the integer form
+        of ``spin._completed_form`` at the renamed masks.
         """
         if len(vector) != n:
             raise ValueError(f"expected {n} single-index coordinates")
         pairs = _pair_coords(skew, n)
         pairs.update({1 << i | 1 << n: Fraction(v) for i, v in enumerate(vector)})
-        completed = completed_coords(scalar, pairs, n + 1)
-        return cls(n, [completed[_renamed(mask, n)] for mask in range(1 << n)])
+        numerators, scale = _completed_form(scalar, pairs, n + 1)
+        return cls._from_numerators(n, [(mask, numerators[_renamed(mask, n)]) for mask in range(1 << n)], scale)
 
     def coefficient(self, mask: int) -> Fraction:
         v = self._numerators.get(mask)
@@ -326,13 +318,12 @@ class PlaneGenerator:
         }
 
 
-def generator_rows(a: SpinorCoords) -> list[list[Fraction]]:
-    """All 2^n rows of Xi(x) a = 0 as linear forms in x^0..x^{2n}.
-
-    Row r, column i holds the x^i coefficient, i.e. (M_i a)[r] for the
-    blade images M_i of the point element.
-    """
-    return _point_rows(a.values)
+def _point_columns(n: int, numerators: Mapping[int, int]) -> list[dict[int, int]]:
+    """The columns E_i N, i = 0..2n, of the generator system of a rank-n
+    spinor with integer numerators N, each a sparse vector by mask: the x^i
+    coefficient of row r of Xi(x) N = 0 is column i at r.  Each is the one
+    spinor action on the point image E_i."""
+    return [_signed_sum([(image, 1)], numerators) for image in point_blade_images(n)]
 
 
 def independent_system(a: SpinorCoords) -> PlaneGenerator:
@@ -346,6 +337,12 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
     are rejected with a ValueError, before any row is reduced.  With a zero
     scalar coordinate the relations are those of the chart, so the error says
     that the spinor is not pure and names the chart's blade.
+
+    The system is read in integers, on the numerators N of a, from the
+    columns E_i N (:func:`_point_columns`): the pivots of their forward-only
+    elimination are the kept rows, and the basis is the null space of the
+    kept integer rows, which no scale changes.  Each equation's
+    ``Fraction``s are formed once, over the scale of a.
     """
     if a.is_zero():
         raise ValueError("the zero spinor does not define a generator")
@@ -354,25 +351,24 @@ def independent_system(a: SpinorCoords) -> PlaneGenerator:
         if a.scalar_coord():
             raise ValueError(f"coordinate relations fail, first residual at {bad}")
         low = min(_renamed(mask, a.n) for mask in a._numerators)
-        blade = "e" + "".join(map(str, blade_indices(low)))
         raise ValueError(
-            f"spinor is not pure: its chart at the blade {blade} fails the coordinate relations, "
+            f"spinor is not pure: its chart at the blade {_blade_token(low)} fails the coordinate relations, "
             f"first residual at {bad}"
         )
     n = a.n
-    rows = generator_rows(a)
+    columns = _point_columns(n, a._numerators)
     # a row is kept exactly when it is a pivot column of the transposed system
-    kept_masks = _eliminate(list(zip(*rows)), reduced=False)[1]
+    kept_masks = _eliminate([[column.get(r, 0) for r in range(1 << n)] for column in columns], reduced=False)[1]
     if len(kept_masks) != n + 1:
         raise InvariantViolation(f"generator system has rank {len(kept_masks)}, not n+1 = {n + 1}")
-    kept_rows = [rows[r] for r in kept_masks]
+    kept_rows = [[column.get(r, 0) for column in columns] for r in kept_masks]
     basis = linalg.null_space(kept_rows)
     if len(basis) != n:
         raise InvariantViolation(f"generator solution space has dimension {len(basis)}, not n = {n}")
     return PlaneGenerator(
         n=n,
         row_masks=tuple(kept_masks),
-        equations=tuple(tuple(row) for row in kept_rows),
+        equations=tuple(tuple(Fraction(v, a._scale) if v else _ZERO for v in row) for row in kept_rows),
         basis=tuple(tuple(vec) for vec in basis),
     )
 
@@ -479,7 +475,8 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
 
     Two representatives, both read off the product's integer vector: when
     the stored equations are the canonical rows b, b^1..b^n, the scalar
-    coordinate is nonzero and the rows are lambda times the product's, the
+    coordinate is nonzero and the rows are lambda times the product's, read
+    at those n+1 masks off its integer columns (:func:`_point_columns`), the
     stored representative lambda * product is returned; otherwise (a zero
     scalar coordinate, or other rows) the primitive integer representative,
     with its first nonzero positive, after the equations are checked
@@ -492,9 +489,10 @@ def generator_to_spinor(g: PlaneGenerator) -> SpinorCoords:
     spinor = SpinorCoords._from_numerators(n, product.items(), 1)
     _verify_spinor_matches(spinor, g, points)
     if g.row_masks == (0,) + tuple(1 << i for i in range(n)) and 0 in product and len(g.equations) == n + 1:
-        rows = generator_rows(spinor)
-        scale = g.equations[0][0] / rows[0][0]
-        if scale and [list(row) for row in g.equations] == [[scale * c for c in rows[r]] for r in g.row_masks]:
+        columns = _point_columns(n, product)
+        rows = [[column.get(r, 0) for column in columns] for r in g.row_masks]
+        scale = Fraction(g.equations[0][0], rows[0][0])
+        if scale and [list(row) for row in g.equations] == [[scale * c for c in row] for row in rows]:
             return SpinorCoords._from_numerators(
                 n, [(mask, v * scale.numerator) for mask, v in product.items()], scale.denominator
             )

@@ -7,6 +7,8 @@ same elimination, run below each pivot only, and forms no ``Fraction``.
 The geometry module reads those forward-only pivots too, for the rows a
 generator system keeps, and decides a generator's stored equations by one
 integer product and one :func:`rank`, so no row-space comparison is kept.
+An integer form, numerators over one scale, is reduced in one place,
+:func:`_reduced`, for the elements and the spinors alike.
 Pivoting is deterministic (first nonzero entry in column order), which
 fixes echelon forms and null-space bases bit for bit.
 """
@@ -32,6 +34,19 @@ def _cleared(values: Collection[Fraction]) -> tuple[list[int], int]:
     # peak RSS of a 40 s spin_relations run by about 2 MB
     scale = lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _reduced(numerators: dict[int, int], scale: int) -> tuple[dict[int, int], int]:
+    """A form numerators / scale, with zeros already dropped and the scale
+    nonzero, reduced once: by the gcd of the scale and every numerator, and
+    to a positive scale.  This is the one reduced form of the values, the
+    one :func:`_cleared` gives of them."""
+    g = gcd(scale, *numerators.values())
+    if scale < 0:
+        g = -g
+    if g == 1:
+        return numerators, scale
+    return {key: v // g for key, v in numerators.items()}, scale // g
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -41,8 +41,8 @@ as a tampered one, is squared.
 Only this module reads the triples.  Geometry and the CLI act through
 :func:`_signed_sum`, the integer sum of signed permutations applied to a
 spinor, and read the images E_i of :func:`point_blade_images` only through
-it and :func:`_point_rows`: the x^i coefficient of row r of Xi(x) a = 0 is a
-signed copy of the one coordinate of a that E_i sends to row r.  Every entry
+it: the x^i coefficient of row r of Xi(x) a = 0 is entry r of E_i a, one
+signed copy of the coordinate of a that E_i sends to row r.  Every entry
 of Xi(x) is one of 4n integer forms, +-x^0 and +-x^(2l-1) +- x^(2l), so an
 evaluated Xi(x) reads a per-rank table off the triples once
 (:func:`_triple_pattern`): each form is summed once over the coordinates
@@ -157,22 +157,6 @@ def _signed_sum(terms: Iterable[tuple[SignedPerm, int]], vector: Mapping[int, in
                 r = j ^ a
                 out[r] = out.get(r, 0) + (negated if (b & j).bit_count() & 1 else c) * value
     return {r: value for r, value in out.items() if value}
-
-
-def _point_rows(values: Sequence[Fraction]) -> list[list[Fraction]]:
-    """The rows of the 2^n x (2n+1) matrix whose column i is E_i a, for the
-    2^n coordinates of a: row r holds the x^i coefficients of row r of
-    Xi(x) a.  Entries are the coordinates of a, negated where the sign is -1."""
-    images = point_blade_images(len(values).bit_length() - 1)
-    rows = []
-    for r in range(len(values)):
-        row = []
-        for a, b, s in images:
-            j = r ^ a
-            value = values[j]
-            row.append(-value if value and ((b & j).bit_count() & 1) != (s < 0) else value)
-        rows.append(row)
-    return rows
 
 
 def point_element(n: int, x: Sequence[Rational]) -> Multivector:

@@ -17,12 +17,14 @@ set I of size 2k >= 4,
 
 with A the skew matrix of grade-2 coordinates.  When the scalar a is
 nonzero these determine every higher coordinate from the n(n-1)/2 grade-2
-ones (:func:`reconstruct_from_low_grade`); on the geometry side the a = 0
-case comes from Chevalley's product instead.  The grade-2 coordinates are
-held by blade mask only, a^{ij} at the mask of {i, j}: a map of index
-pairs or a caller's skew table is checked and read once, at the boundary
-(:func:`_pair_coords`; :func:`pfaffians` and :func:`pfaffian` read the upper
-triangle), and no n x n table is built.  Every Pfaffian is read from one
+ones, as one integer form (:func:`_completed_form`), from which
+:func:`reconstruct_from_low_grade` builds its element and the geometry
+module its spinor, read at the renamed masks; on the geometry side the
+a = 0 case comes from Chevalley's product instead.  The grade-2
+coordinates are held by blade mask only, a^{ij} at the mask of {i, j}: a
+map of index pairs or a caller's skew table is checked and read once, at
+the boundary (:func:`_pair_coords`; :func:`pfaffians` and :func:`pfaffian`
+read the upper triangle), and no n x n table is built.  Every Pfaffian is read from one
 integer list over index masks: the pairs are cleared into it once
 (:func:`_by_mask`, which also lays out the coordinates of the residuals
 and of the quadrics), and each larger even set is filled in by size
@@ -56,8 +58,8 @@ module are these rotations.
 Every element is held as its reduced integer form, numerators over the
 lcm of its denominators (``Multivector._cleared_terms``).  The producers
 that compute in integers build their element from that form: the seeded
-unit vectors, the product of a chain of vectors, the completion behind
-:func:`reconstruct_from_low_grade`, the rotation and the Clifford product.
+unit vectors, the product of a chain of vectors, the completion of
+:func:`_completed_form`, the rotation and the Clifford product.
 The spin norm, the quadrics, the residuals of :func:`check_relations` and
 the rotation read it, so no element is cleared after it is built.  The
 residuals, the quadrics, the two norm routes and the rotation's checks are
@@ -143,11 +145,14 @@ def pfaffians(table: Sequence[Sequence[Rational]]) -> list[Fraction]:
     """Pf(A_I) for every index set I of the skew table A, indexed by blade mask.
 
     The table is read once, from its upper triangle (:func:`_upper_pairs`),
-    and the Pfaffians are the completion with a = 1 (:func:`completed_coords`).
-    Odd sets get 0 and the empty set 1.  The list has 2^d entries, so d is
-    capped at MAX_DIM.
+    and the Pfaffians are the integer fill of :func:`_completion`: Pf(A_I) is
+    Pf(D A)_I over D^(|I|/2), one ``Fraction`` per nonzero set.  Odd sets get
+    0 and the empty set 1.  The list has 2^d entries, so d is capped at
+    MAX_DIM.
     """
-    return completed_coords(1, _upper_pairs(table, range(len(table))), len(table))
+    pfs, scale, _, _ = _completion(1, _upper_pairs(table, range(len(table))), len(table))
+    powers = [scale**k for k in range(len(table) // 2 + 1)]
+    return [Fraction(pf, powers[mask.bit_count() // 2]) if pf else _ZERO for mask, pf in enumerate(pfs)]
 
 
 def _upper_pairs(table: Sequence[Sequence[Rational]], idx: Sequence[int]) -> dict[int, Fraction]:
@@ -427,25 +432,6 @@ def check_relations(s: SpinElement) -> RelationReport:
     )
 
 
-def completed_coords(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> list[Fraction]:
-    """Coordinates a^I = Pf(A_I) / a^(k-1) for every index set I of n
-    indices, by blade mask, from the pairs a^{ij} of A by mask.
-
-    Pf of the empty set is 1, so the scalar comes back as a, each pair as
-    itself, and odd sets as 0.  The scalar must be nonzero.  With
-    Pf(D A) from :func:`_completion` and a = p/q, a^I is
-    Pf(D A)_I q^(k-1) / (D^k p^(k-1)), one ``Fraction`` per set.  The list
-    has 2^n entries, so n is capped at MAX_DIM.
-    """
-    pfs, scale, p, q = _completion(scalar, pairs, n)
-    ratios = [(p, q)] + [(q ** (k - 1), scale**k * p ** (k - 1)) for k in range(1, n // 2 + 1)]
-    out = []
-    for mask, pf in enumerate(pfs):
-        num, den = ratios[mask.bit_count() // 2]
-        out.append(Fraction(pf * num, den) if pf else _ZERO)
-    return out
-
-
 def _completion(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> tuple[list[int], int, int, int]:
     """Pf(D A) of every index set by blade mask, with Pf of the empty set 1;
     D, the lcm of the pairs' denominators; and p, q with a = p/q.
@@ -472,16 +458,28 @@ def reconstruct_from_low_grade(
     coordinates filled in by the Pfaffian relations.
 
     The scalar must be nonzero; the division a^I = Pf(A_I) / a^(k-1) is
-    meaningless otherwise.  The element is built from the coordinates of
-    :func:`completed_coords` as one integer form: with m = max(d // 2, 1),
-    a^I for |I| = 2k is Pf(D A)_I q^k (D p)^(m-k) over q D^m p^(m-1).
+    meaningless otherwise.  The element is built from the integer form of
+    :func:`_completed_form`.
     """
-    n = sig.dim
-    pfs, scale, p, q = _completion(scalar, _pair_coords(skew, n), n)
+    numerators, scale = _completed_form(scalar, _pair_coords(skew, sig.dim), sig.dim)
+    return SpinElement(Multivector._from_numerators(sig, enumerate(numerators), scale))
+
+
+def _completed_form(scalar: Rational, pairs: Mapping[int, Rational], n: int) -> tuple[list[int], int]:
+    """The coordinates a^I = Pf(A_I) / a^(k-1) of every index set I of n
+    indices as one integer form: their numerators by blade mask, and the
+    scale they share, from the pairs a^{ij} of A by mask.
+
+    Pf of the empty set is 1, so the scalar comes back as a, each pair as
+    itself, and odd sets as 0.  The scalar must be nonzero.  With Pf(D A)
+    from :func:`_completion`, a = p/q and m = max(n // 2, 1), the numerator
+    of a^I for |I| = 2k is Pf(D A)_I q^k (D p)^(m-k), over the scale
+    q D^m p^(m-1).  The form is not reduced.
+    """
+    pfs, scale, p, q = _completion(scalar, pairs, n)
     m = max(n // 2, 1)
     factors = [q**k * (scale * p) ** (m - k) for k in range(n // 2 + 1)]
-    terms = [(mask, pf * factors[mask.bit_count() // 2]) for mask, pf in enumerate(pfs)]
-    return SpinElement(Multivector._from_numerators(sig, terms, q * scale**m * p ** (m - 1)))
+    return [pf * factors[mask.bit_count() // 2] for mask, pf in enumerate(pfs)], q * scale**m * p ** (m - 1)
 
 
 def _pair_coords(
@@ -536,8 +534,11 @@ def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Mu
     Reflecting a basis vector e_b of the wanted norm across the hyperplane of
     a random integer vector u preserves the quadratic form exactly and stays
     rational: v = e_b - 2 B(e_b,u)/B(u,u) u.  The coordinates are held as
-    integer numerators over B(u,u), the norm is checked in integers, and
-    the vector is built from that form.
+    integer numerators V = B(u,u) e_b - 2 sigma_b u_b u over B(u,u), and the
+    vector is built from that form.  The norm needs no check: expanding,
+    B(V,V) = sigma_b B(u,u)^2 - 4 sigma_b^2 u_b^2 B(u,u) + 4 sigma_b^2 u_b^2 B(u,u)
+    = sigma_b B(u,u)^2 in integers, for any signs sigma_i, and sigma_b is
+    norm_sign.
     """
     sigmas = sig.sigmas()
     try:
@@ -552,8 +553,6 @@ def random_unit_vector(sig: Signature, rng: random.Random, norm_sign: int) -> Mu
     twice_bu = 2 * sigmas[base_index] * u[base_index]
     numerators = [-twice_bu * c for c in u]
     numerators[base_index] += uu
-    if sum(s * v * v for s, v in zip(sigmas, numerators)) != norm_sign * uu * uu:
-        raise InvariantViolation("reflection failed to preserve the vector norm")
     return Multivector._from_numerators(sig, [(1 << i, v) for i, v in enumerate(numerators)], uu)
 
 

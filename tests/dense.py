@@ -47,7 +47,12 @@ comparing row spaces by three ranks is the route it replaced.  A spinor is
 held as its reduced integer form, and the primitive representative is read
 off the product's numerators.  ``primitive``, which clears a ``Fraction``
 vector, divides by the gcd and makes the first nonzero positive, is the
-route that read-off replaced.
+route that read-off replaced.  A generator system is read in integers off
+the columns E_i N of a spinor's numerators, each one signed-permutation
+sum; ``generator_rows``, its ``Fraction`` rows read entry by entry off the
+triples, is the route it replaced, and ``completed_coords``, the
+``Fraction`` completion, is the one the integer form of a spinor completed
+from its low grades replaced.
 
 A rotation reads y off the integer product of the cleared s and x and
 decides s x = y s and (y,y) = (x,x) in integers.  The read-off over two
@@ -70,7 +75,7 @@ from spinorlab import linalg
 from spinorlab.atlas import even_subalgebra_signature
 from spinorlab.blades import Multivector, blade_grade, blade_indices, blade_product, mask_from_indices
 from spinorlab.errors import InvariantViolation
-from spinorlab.geometry import SpinorCoords, _pure_spinor, generator_rows, independent_system, kernel_spinors
+from spinorlab.geometry import SpinorCoords, _pure_spinor, independent_system, kernel_spinors
 from spinorlab.matrices import point_blade_images, quadratic_form, rep_multivector
 from spinorlab.poly import Poly
 
@@ -414,6 +419,24 @@ def rotate(s, x, norm):
     if (y * y).scalar_part() != (x * x).scalar_part():
         raise InvariantViolation("conjugation changed the quadratic form")
     return y
+
+
+def generator_rows(a):
+    """All 2^n rows of Xi(x) a = 0 as ``Fraction`` linear forms in x^0..x^{2n},
+    read entry by entry off the signed-permutation triples of the point
+    images E_i: row r, column i holds the x^i coefficient, the coordinate of
+    a that E_i sends to row r, negated where the sign is -1."""
+    values = a.values
+    images = point_blade_images(a.n)
+    rows = []
+    for r in range(len(values)):
+        row = []
+        for m, b, s in images:
+            j = r ^ m
+            value = values[j]
+            row.append(-value if value and ((b & j).bit_count() & 1) != (s < 0) else value)
+        rows.append(row)
+    return rows
 
 
 def generator_rows_annihilate(x, a):

@@ -31,10 +31,9 @@ from spinorlab import (
     spin_norm,
 )
 from spinorlab.atlas import factorization_class, karoubi_factorization, verify_even_subalgebra_map
-from spinorlab.geometry import generator_rows
 from spinorlab.poly import Poly
 
-from dense import dense_kernel_equivariance, mat_eq, mat_mul, primitive
+from dense import dense_kernel_equivariance, generator_rows, mat_eq, mat_mul, primitive
 from polyparts import coefficient_of_var, divide_by_var, without_var
 
 

@@ -785,7 +785,8 @@ def test_records_serialise_exact_values():
 
     # rendered exactly, each record reads as its former string form
     def rendered(record):
-        return spinorlab.cli._convert(record.to_json(), "exact", spinorlab.cli.DEFAULT_TOLERANCE)
+        args = argparse.Namespace(mode="exact", tol=spinorlab.cli.DEFAULT_TOLERANCE, format="json")
+        return json.loads(spinorlab.cli._render(record.to_json(), args))
 
     assert rendered(spinor) == {"a": "3", "a1": "1", "a2": "-2", "a12": "1/2"}
     assert rendered(generator) == {

@@ -46,3 +46,24 @@ def test_every_definition_has_a_library_caller_or_is_exported():
     exported = set(spinorlab.__all__)
     dead = [f"{module}.{name}" for module, name in definitions if name not in referenced | exported]
     assert dead == []
+
+
+def test_every_import_is_read_in_its_module():
+    """Every name a library module imports is read in that module, except
+    the re-exports of ``__init__`` and an alias on a line marked
+    ``# noqa: F401``, kept for a by-name binding outside the library."""
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unread.append(f"{path.stem}.{name}")
+    assert unread == []

@@ -40,12 +40,13 @@ from spinorlab import (
     reduction_identities,
 )
 from spinorlab.geometry import _validate_generator_geometry, _verify_spinor_matches, annihilates
-from spinorlab.geometry import generator_rows, spinor_images
+from spinorlab.geometry import spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 from spinorlab.spin import _chart, _residuals
 
 import dense
-from dense import dense_kernel_equivariance, generator_rows_annihilate, mat_eq, mat_mul, mat_vec, null_space_kernel
+from dense import dense_kernel_equivariance, generator_rows, generator_rows_annihilate, mat_eq, mat_mul, mat_vec
+from dense import null_space_kernel
 from dense import primitive
 
 
@@ -981,6 +982,49 @@ def test_every_spinor_producer_keeps_the_clearing_of_its_values(data):
     for (left, left_values), (right, right_values) in itertools.combinations(zip(spinors, values), 2):
         assert (left == right) == (left_values == right_values)
     assert SpinorCoords(n, a.values) == a and produced["from_json"][0] == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generator_system_is_bit_equal_to_the_fraction_rows(data):
+    """The system read off the integer columns E_i N, at ranks 1..5, for pure
+    spinors with nonzero and with zero scalar coordinates: the kept masks
+    are those a greedy rank scan of the ``Fraction`` rows keeps, the
+    equations are those rows bit for bit, and the basis is their null space."""
+    n = data.draw(st.integers(1, 5))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    zero_scalar = data.draw(st.booleans())
+    a = dense_zero_scalar_spinor(n, rng) if zero_scalar else random_relation_spinor(n, rng)
+    assert (a.scalar_coord() == 0) == zero_scalar
+    g = independent_system(a)
+    rows = generator_rows(a)
+    kept = []
+    for r, row in enumerate(rows):
+        if linalg.rank([rows[k] for k in kept] + [row]) > len(kept):
+            kept.append(r)
+    assert list(g.row_masks) == kept
+    assert [bits(row) for row in g.equations] == [bits(rows[r]) for r in kept]
+    assert [bits(vec) for vec in g.basis] == [bits(vec) for vec in linalg.null_space([rows[r] for r in kept])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_from_low_grade_is_bit_equal_to_the_renamed_fraction_completion(data):
+    """The spinor completed from (a, a^i, a^{ij}) holds, at each mask, the
+    ``Fraction`` completion of the rank n+1 table whose last column holds
+    the a^i, read at the renamed mask, bit for bit."""
+    n = data.draw(st.integers(1, 6))
+    scalar = data.draw(rationals.filter(bool))
+    vector = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    skew = {pair: data.draw(rationals) for pair in itertools.combinations(range(1, n + 1), 2)}
+    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for (i, j), v in skew.items():
+        table[i - 1][j - 1], table[j - 1][i - 1] = v, -v
+    for i, v in enumerate(vector):
+        table[i][n], table[n][i] = v, -v
+    completed = dense.completed_coords(scalar, table)
+    renamed = [completed[mask | (mask.bit_count() & 1) << n] for mask in range(1 << n)]
+    assert bits(SpinorCoords.from_low_grade(n, scalar, vector, skew).values) == bits(renamed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -31,7 +31,7 @@ from spinorlab import (
 from spinorlab.blades import MAX_DIM, _sign_mask, blade_product
 from spinorlab.errors import InvariantViolation
 from spinorlab.linalg import _cleared
-from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _pair_coords, _rotate, completed_coords, pfaffians
+from spinorlab.spin import _chart, _masks_of_size, _obeys_relations, _pair_coords, _rotate, pfaffians
 from spinorlab.spin import _residuals, random_unit_vector
 
 import dense
@@ -798,8 +798,9 @@ def even_elements(draw):
 @given(skew_tables(), rationals.filter(bool))
 def test_pfaffian_table_and_completion_are_bit_equal_to_the_fraction_oracle(table, scalar):
     assert bits(pfaffians(table)) == bits(dense.pfaffians(table))
-    pairs = _pair_coords(table, len(table))
-    assert bits(completed_coords(scalar, pairs, len(table))) == bits(dense.completed_coords(scalar, table))
+    element = reconstruct_from_low_grade(scalar, table, Signature(len(table), 0)).value
+    completed = [element.coefficient(mask) for mask in range(1 << len(table))]
+    assert bits(completed) == bits(dense.completed_coords(scalar, table))
 
 
 @settings(max_examples=120, deadline=None)
