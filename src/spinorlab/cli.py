@@ -5,16 +5,23 @@ report embeds a "verdicts" object with the invariant checks relevant to
 the command; the process exits 0 only when all of them hold.  Exit code 1
 flags bad input, 2 a failed invariant.  All randomness is seeded
 explicitly, so identical invocations produce byte-identical output.
+
+A report is a tree of dicts and lists whose leaves are exact values,
+strings, integers, booleans and None.  It is rendered in one walk: JSON as
+one join per container, with sorted keys and with keys and strings escaped
+by the C function of ``json``, byte for byte the text of
+``json.dumps(indent=2, sort_keys=True)``; CSV and pretty output as one line
+per leaf, keyed by its dotted path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import linalg
@@ -36,9 +43,9 @@ from .matrices import build_xi, build_xi_symbolic, neutral_signature, quadratic_
 from .spin import SpinElement, check_relations, is_spin, is_spin_plus, random_spin_element
 
 DEFAULT_TOLERANCE = 1e-9
-#: The largest --k of a seeded motion, for a 15 s budget at n = 8.  On random
-#: absolute points a cold motion took 9.2-13.3 s at k = 4 and 12.3-18.0 s at
-#: k = 5 (2-vCPU VM); drawing the element alone grows with k without bound.
+#: The largest --k of a seeded motion, for a 15 s budget at n = 8.  On a random
+#: absolute point a cold motion took 5.9-7.3 s at k = 4 and 8.8-9.3 s at k = 5
+#: (2-vCPU VM, Python 3.11.7); drawing the element alone grows with k without bound.
 MAX_SEED_PAIRS = 4
 
 
@@ -309,44 +316,80 @@ def _parallel(u: list[Fraction], v: list[Fraction]) -> bool:
 
 
 def _render(report: dict, args: argparse.Namespace) -> str:
-    """The report as text in one pass: the JSON encoder, or the flattening
-    of CSV and pretty output, turns each exact leaf into text, or into a
-    float under --mode float, as it reaches it."""
+    """The report as text: each container is joined once, with its exact
+    leaves turned into text, or into floats under --mode float, as it is
+    reached.  On leaves of type ``str``, ``int``, ``bool``, ``None`` and
+    ``Fraction``, the JSON output is ``json.dumps(indent=2, sort_keys=True)``'s,
+    byte for byte."""
+    if args.mode == "exact":
+        number = str
+    else:
+        tol = args.tol
 
-    def leaf(value):
-        if not isinstance(value, Fraction):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if args.mode == "exact":
-            return str(value)
-        try:
-            approx = float(value)
-        except OverflowError:
-            raise ValueError("a value exceeds the float range; use --mode exact") from None
-        return 0.0 if abs(approx) < args.tol else approx
+        def number(value: Fraction) -> str:
+            try:
+                approx = value.numerator / value.denominator  # float(value), without its Python frame
+            except OverflowError:
+                raise ValueError("a value exceeds the float range; use --mode exact") from None
+            return "0.0" if abs(approx) < tol else repr(approx)
 
     if args.format == "json":
-        return json.dumps(report, indent=2, sort_keys=True, default=leaf) + "\n"
-    if args.format == "csv":
-        lines = ["key,value"]
-        for key, value in _flatten(report, leaf):
-            lines.append(f"{key},{value}")
-        return "\n".join(lines) + "\n"
-    lines = [f"{key}: {value}" for key, value in _flatten(report, leaf)]
+        texts = {**_LEAF_TEXTS, Fraction: number if args.mode == "float" else '"%s"'.__mod__}
+        return _json(report, "\n", texts) + "\n"
+    lines = ["key,value"] if args.format == "csv" else []
+    _flatten(report, number, "", "," if args.format == "csv" else ": ", lines)
     return "\n".join(lines) + "\n"
 
 
-def _flatten(value, leaf, prefix: str = ""):
+#: The JSON text of a leaf by its type, as ``json.dumps`` writes it.
+_LEAF_TEXTS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(value, pad: str, texts: dict) -> str:
+    """The JSON text of a dict or list at the indent ``pad``, a newline and
+    two spaces per level.  A container is one join of its items' texts, with
+    the keys of a dict sorted and escaped by the C encoder of ``json``.  A
+    leaf is written by ``texts``, looked up by its exact type inside its
+    container's loop, so that no Python frame is spent on a string, integer,
+    boolean, None or exact-mode leaf; a leaf of any other type raises the
+    ``TypeError`` of ``json.dumps``."""
+    inner = pad + "  "
     if isinstance(value, dict):
-        for key in sorted(value):
-            yield from _flatten(value[key], leaf, f"{prefix}{key}.")
-    elif isinstance(value, (list, tuple)):
-        for idx, item in enumerate(value):
-            yield from _flatten(item, leaf, f"{prefix}{idx}.")
-    else:
-        text = str(leaf(value) if isinstance(value, Fraction) else value)
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key)
+            + ": "
+            + (write(item) if (write := texts.get(type(item))) else _json(item, inner, texts))
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [write(item) if (write := texts.get(type(item))) else _json(item, inner, texts) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _flatten(container, number, prefix: str, sep: str, lines: list[str]) -> None:
+    """Append a ``key<sep>value`` line per leaf of a dict or list, keys
+    dotted paths in sorted order; a value holding a comma is quoted."""
+    keys = sorted(container) if isinstance(container, dict) else range(len(container))
+    for key in keys:
+        value = container[key]
+        if isinstance(value, (dict, list, tuple)):
+            _flatten(value, number, f"{prefix}{key}.", sep, lines)
+            continue
+        text = number(value) if type(value) is Fraction else str(value)
         if "," in text:
             text = '"' + text.replace('"', '""') + '"'
-        yield prefix.rstrip("."), text
+        lines.append(f"{prefix}{key}".rstrip(".") + sep + text)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
@@ -187,12 +188,11 @@ class SpinorCoords:
 
     def to_json(self) -> dict[str, Fraction]:
         """Coordinates keyed by name; the leaves are exact rationals."""
-        return {self.coordinate_name(mask): value for mask, value in enumerate(self.values)}
+        return dict(zip(_coordinate_names(self.n), self.values))
 
     @classmethod
     def from_json(cls, n: int, payload: Mapping[str, object]) -> "SpinorCoords":
-        names = map(cls.coordinate_name, range(1 << n))
-        return cls(n, [Fraction(str(payload.get(name, 0))) for name in names])
+        return cls(n, [Fraction(str(payload.get(name, 0))) for name in _coordinate_names(n)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpinorCoords):
@@ -201,6 +201,12 @@ class SpinorCoords:
 
     def __repr__(self) -> str:
         return f"SpinorCoords(n={self.n}, {[str(v) for v in self.values]})"
+
+
+@lru_cache(maxsize=None)
+def _coordinate_names(n: int) -> tuple[str, ...]:
+    """The names of the 2^n coordinates in mask order, formed once per rank."""
+    return tuple(map(SpinorCoords.coordinate_name, range(1 << n)))
 
 
 def _renamed(mask: int, n: int) -> int:

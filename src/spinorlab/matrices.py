@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -229,10 +229,15 @@ class XiMatrix:
         return q
 
     def token_rows(self) -> list[list[str]]:
-        """Symbolic entries as sign-prefixed tokens, e.g. ``-x1+x2``."""
+        """Symbolic entries as sign-prefixed tokens, e.g. ``-x1+x2``: fresh
+        lists of the tokens formed once per matrix."""
         if not self.symbolic:
             raise ValueError("token form exists only for symbolic matrices")
-        return [[_entry_token(entry) for entry in row] for row in self.entries]
+        return [list(row) for row in self._tokens]
+
+    @cached_property
+    def _tokens(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(map(_entry_token, row)) for row in self.entries)
 
     def to_json(self) -> dict:
         """Token rows when symbolic, otherwise rows whose leaves are exact rationals."""

@@ -39,7 +39,7 @@ from spinorlab import (
     random_spin_element,
     reduction_identities,
 )
-from spinorlab.geometry import _validate_generator_geometry, _verify_spinor_matches, annihilates
+from spinorlab.geometry import _coordinate_names, _validate_generator_geometry, _verify_spinor_matches, annihilates
 from spinorlab.geometry import spinor_images
 from spinorlab.matrices import MAX_RANK, build_xi, generator_images, rep_multivector
 from spinorlab.spin import _chart, _residuals
@@ -334,6 +334,11 @@ def test_spinor_json_roundtrip():
     assert all(type(v) is Fraction for v in spinor.values)  # outside input is converted
     assert payload == {"a": Fraction(1), "a1": Fraction(1, 2), "a2": Fraction(0), "a12": Fraction(-3)}
     assert SpinorCoords.from_json(2, payload) == spinor
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+def test_coordinate_names_are_formed_once_per_rank(n):
+    assert _coordinate_names(n) == tuple(SpinorCoords.coordinate_name(mask) for mask in range(1 << n))
 
 
 # -- independent systems ---------------------------------------------------------

@@ -29,7 +29,7 @@ from spinorlab import (
 )
 from spinorlab import matrices
 from spinorlab.blades import _ZERO
-from spinorlab.matrices import MAX_RANK, _compose, blade_image, generator_images
+from spinorlab.matrices import MAX_RANK, _compose, _entry_token, blade_image, generator_images
 from spinorlab.poly import Poly
 
 import dense
@@ -64,6 +64,12 @@ def test_rank_three_recursion_entries():
     assert tokens[7][5] == "-x3+x4"
     assert tokens[7][7] == "x0"
     assert tokens[4][0] == "-x5+x6"
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
+def test_symbolic_tokens_are_formed_once_per_rank(n):
+    xi = build_xi_symbolic(n)
+    assert xi.token_rows() == [[_entry_token(entry) for entry in row] for row in xi.entries]
 
 
 @pytest.mark.parametrize("n", range(1, MAX_RANK + 1))
